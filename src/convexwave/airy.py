@@ -240,9 +240,53 @@ def ai(z):
     return out.reshape(arr.shape)
 
 
+_LOOKUP_BLOCK = 8192  # points per table-lookup block: keeps its gathers and temporaries in cache
+
+
+def cubic_coefficients(f) -> np.ndarray:
+    """Per-node coefficients (a, b, c, d) of the four-point cubic, coefficient axis first.
+
+    ``coef[:, i]`` holds the cubic a + b t + c t^2 + d t^3 through f[i-1],
+    f[i], f[i+1], f[i+2] with t = 0 at node i.  Trailing axes of ``f`` are
+    carried along, so ``f = eye(n)`` gives each coefficient as a linear
+    functional of the samples.  Nodes 0, n-2 and n-1 have no full stencil and
+    stay zero.
+    """
+    f = np.asarray(f, dtype=float)
+    coef = np.zeros((4,) + f.shape)
+    f_m1, f_0, f_1, f_2 = f[:-3], f[1:-2], f[2:-1], f[3:]
+    coef[0, 1:-2] = f_0
+    coef[1, 1:-2] = -f_m1 / 3.0 - f_0 / 2.0 + f_1 - f_2 / 6.0
+    coef[2, 1:-2] = (f_m1 - 2.0 * f_0 + f_1) / 2.0
+    coef[3, 1:-2] = (-f_m1 + 3.0 * f_0 - 3.0 * f_1 + f_2) / 6.0
+    return coef
+
+
+def cubic_interpolate(coef: np.ndarray, pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the cubics of :func:`cubic_coefficients` at fractional node indices ``pos``.
+
+    Positions outside [1, n-2] extrapolate the nearest full-stencil cubic.  One
+    gather per coefficient, each feeding a Horner step done in place in
+    ``out`` (shape ``pos.shape + coef.shape[2:]``).
+    """
+    i = np.clip(pos.astype(int), 1, coef.shape[1] - 3)
+    t = (pos - i).reshape(pos.shape + (1,) * (coef.ndim - 2))
+    out = np.multiply(coef[3].take(i, axis=0), t, out=out)
+    out += coef[2].take(i, axis=0)
+    out *= t
+    out += coef[1].take(i, axis=0)
+    out *= t
+    out += coef[0].take(i, axis=0)
+    return out
+
+
 class AiryTable:
     """Dense cubic-interpolation table over a fixed range, for bulk evaluation.
 
+    Build time stores the four-point cubic of every node as one (4, n)
+    coefficient table (four contiguous columns); a lookup gathers each column
+    once and runs an in-place Horner step, in cache-sized blocks.  Values are
+    bit-identical to evaluating the four-point formula from the node values.
     Interpolation error is far below the quadrature tolerances of the field
     evaluators (the grid oversamples the local Airy oscillation ~80x).
     """
@@ -255,22 +299,16 @@ class AiryTable:
         self.step = (self.hi - self.lo) / (n - 1)
         self.grid = self.lo + self.step * np.arange(n)
         self.values = ai(self.grid)
+        self.coef = cubic_coefficients(self.values)
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
-        pos = (v - self.lo) / self.step
-        i = np.clip(pos.astype(int), 1, self.grid.size - 3)
-        t = pos - i
-        f_m1 = self.values[i - 1]
-        f_0 = self.values[i]
-        f_1 = self.values[i + 1]
-        f_2 = self.values[i + 2]
-        # cubic through the four surrounding nodes
-        a = f_0
-        b = (-f_m1 / 3.0 - f_0 / 2.0 + f_1 - f_2 / 6.0)
-        c = (f_m1 - 2.0 * f_0 + f_1) / 2.0
-        d = (-f_m1 + 3.0 * f_0 - 3.0 * f_1 + f_2) / 6.0
-        return a + t * (b + t * (c + t * d))
+        flat = v.ravel()
+        out = np.empty(flat.shape)
+        for j in range(0, flat.size, _LOOKUP_BLOCK):
+            block = slice(j, j + _LOOKUP_BLOCK)
+            cubic_interpolate(self.coef, (flat[block] - self.lo) / self.step, out[block])
+        return out.reshape(v.shape)
 
 
 @dataclass(frozen=True)

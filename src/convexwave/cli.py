@@ -26,7 +26,7 @@ from .fields import FrequencyWindow
 from .gallery import GalleryError, strichartz_quotient
 from .oscillatory import GridCoverageError, QuadratureError, gamma_schrodinger, gamma_wave, pool_curves
 from .params import ParameterError, make_params, sharp_schrodinger_q, sharp_wave_q
-from .cusp import CuspError, GlidingRegimeError, PhaseSpacePoint, billiard_iterate, boundary_residual, cusp_field
+from .cusp import CuspError, PhaseSpacePoint, billiard_iterate, boundary_residual, cusp_field
 from .normlab import NormError, NormRegionSpec, counterexample_report, region_norms
 
 USAGE_EXIT = 2
@@ -34,7 +34,7 @@ NUMERIC_EXIT = 3
 UNRELIABLE_EXIT = 4
 
 _NUMERIC_ERRORS = (ParameterError, AiryError, QuadratureError, GridCoverageError,
-                   GalleryError, CuspError, GlidingRegimeError, NormError, ValueError)
+                   GalleryError, CuspError, NormError, ValueError)
 
 
 def _fmt(x) -> str:
@@ -386,9 +386,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GlidingRegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT

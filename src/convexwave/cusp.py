@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .airy import AiryTable
+from .airy import _LEADING, _UK, AiryTable, cubic_coefficients, cubic_interpolate
 from .fields import FrequencyWindow, WaveField, trapezoid_weights
 from .params import SemiclassicalParams, reflection_count
 
@@ -91,14 +91,6 @@ def billiard(point: PhaseSpacePoint, sign: int) -> PhaseSpacePoint:
 
 # ---------------------------------------------------------------------------
 # reflection kernels
-
-# asymptotic branch coefficients u_k (shared with the airy module's expansions)
-_UK = np.ones(16)
-for _k in range(15):
-    _UK[_k + 1] = _UK[_k] * (6 * _k + 1) * (6 * _k + 3) * (6 * _k + 5) / (216.0 * (_k + 1) * (2 * _k + 1))
-
-_LEADING = 0.5 / math.sqrt(math.pi)
-
 
 def _ratio_series(jmax: int) -> np.ndarray:
     """Coefficients of S_-(X)/S_+(X) in powers of 1/X, truncated after jmax.
@@ -374,27 +366,56 @@ class CuspField(WaveField):
         return float((profile[sel] @ wx[sel]) / total)
 
 
-def _cubic_rows(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of table[..., j] at fractional indices pos (last axis)."""
-    npts = table.shape[-1]
-    i = np.clip(pos.astype(int), 1, npts - 3)
-    t = pos - i
-    f_m1 = table[..., i - 1]
-    f_0 = table[..., i]
-    f_1 = table[..., i + 1]
-    f_2 = table[..., i + 2]
-    b = -f_m1 / 3.0 - f_0 / 2.0 + f_1 - f_2 / 6.0
-    c = (f_m1 - 2.0 * f_0 + f_1) / 2.0
-    d = (-f_m1 + 3.0 * f_0 - 3.0 * f_1 + f_2) / 6.0
-    return f_0 + t * (b + t * (c + t * d))
+class _YAssembly:
+    """The eta -> y sum  sum_e S_e e^{i eta_e y / h}  on centred y-offsets.
+
+    One unnormalized inverse FFT of length n_fft evaluates the sum at the
+    offsets j * 2 pi h / (n_fft deta), j = -n_fft/2 .. n_fft/2 - 1, followed
+    by the precomputed carrier e^{i eta_0 y / h}.  The fftshift to that order
+    is folded into the input as the signs (-1)^e (``signs``), which callers
+    multiply into their eta samples beforehand; the identity needs an even
+    n_fft.  The quadrature step ``deta`` is left to the caller.
+    """
+
+    def __init__(self, eta: np.ndarray, h: float, n_fft: int):
+        if n_fft % 2:
+            raise CuspError(f"n_fft must be even (the y-offset shift is folded into (-1)^e), got {n_fft}")
+        deta = eta[1] - eta[0]
+        self.eta, self.h, self.n_fft = eta, h, n_fft
+        self.signs = np.where(np.arange(eta.size) % 2, -1.0, 1.0)
+        self.offsets = (np.arange(n_fft) - n_fft // 2) * (2.0 * math.pi * h / (n_fft * deta))
+        self.offsets.flags.writeable = False
+        self.deta = deta
+        self.carrier = np.exp(1j * (eta[0] / h) * self.offsets)
+
+    def __call__(self, real: np.ndarray, imag: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """y-samples of the signed eta samples real + i imag (last axis eta).
+
+        A nonzero ``shift`` moves the y-centre: the samples are multiplied by
+        e^{i eta shift / h} first.
+        """
+        padded = np.zeros(real.shape[:-1] + (self.n_fft,), dtype=complex)
+        head = padded[..., : self.eta.size]
+        head.real = real
+        head.imag = imag
+        if shift != 0.0:
+            head *= np.exp(1j * (self.eta / self.h) * shift)
+        np.fft.ifft(padded, axis=-1, norm="forward", out=padded)
+        padded *= self.carrier
+        return padded
 
 
 class CuspEvaluator:
     """Cached spectral tables for evaluating one reflected cusp at many times.
 
     The (x, eta_coarse, xi) tensor holds the symbol spectrum times the Airy
-    factor; each time slice contracts it against e^{i xi w}, interpolates to
-    the dense eta grid and assembles y-offsets by zero-padded FFT.
+    factor, filled by the Airy table's coefficient lookup.  Each time slice
+    contracts it against e^{i xi w}, interpolates to the dense eta grid and
+    assembles y-offsets by one zero-padded inverse FFT.  The interpolation is
+    a real (n_eta, n_eta_dense) matrix of the four-point cubic, applied as one
+    GEMM to the real and imaginary parts stacked as rows; its columns carry
+    the quadrature step deta and the signs (-1)^e that fold the fftshift of
+    the y-offsets into the FFT, so ``n_fft`` must be even.
     """
 
     def __init__(self, params: SemiclassicalParams, n: int, *, symbol: CuspSymbol | None = None,
@@ -419,6 +440,10 @@ class CuspEvaluator:
         self.eta = np.linspace(lo, hi, n_eta)
         self.eta_dense = np.linspace(lo, hi, n_eta_dense)
         self.n_fft = int(n_fft)
+        self._y = _YAssembly(self.eta_dense, h, self.n_fft)
+        pos = (self.eta_dense - self.eta[0]) / (self.eta[1] - self.eta[0])
+        interp = cubic_interpolate(cubic_coefficients(np.eye(n_eta)), pos)
+        self._interp = np.ascontiguousarray((interp * (self._y.signs * self._y.deta)[:, None]).T)
 
         spec = symbol.spectrum
         above = np.abs(spec) > keep_tol * np.abs(spec).max()
@@ -464,9 +489,7 @@ class CuspEvaluator:
         for i0 in range(0, self.x.size, x_chunk):
             xs = self.x[i0 : i0 + x_chunk]
             arg = alpha[None, :, None] * (xs[:, None, None] - a) + beta[None, :, None] * self.xi[None, None, :]
-            tens = self._table(arg).astype(complex)
-            tens *= weights[None, :, :]
-            self._chunks.append(tens)
+            self._chunks.append(self._table(arg) * weights)
 
     def _s_coarse(self, w: float) -> np.ndarray:
         """S(x, eta; w): contraction of the cached tensor against e^{i xi w}."""
@@ -476,29 +499,17 @@ class CuspEvaluator:
 
     def field_values(self, t: float, y_center: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:
         """(values, y_offsets, y_center) of the cusp at time t."""
-        params = self.params
-        a, h = params.a, params.h
+        a = self.params.a
         root = math.sqrt((1.0 + a) * a)
         w = t / (2.0 * root) - 2.0 * self.n
         natural_center = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * self.n * a**1.5
         center = natural_center if y_center is None else float(y_center)
 
         s = self._s_coarse(w)
-        pos = (self.eta_dense - self.eta[0]) / (self.eta[1] - self.eta[0])
-        s_dense = _cubic_rows(s, pos)
-        if center != natural_center:
-            s_dense = s_dense * np.exp(1j * (self.eta_dense / h) * (center - natural_center))[None, :]
-        deta = self.eta_dense[1] - self.eta_dense[0]
-        padded = np.zeros((s_dense.shape[0], self.n_fft), dtype=complex)
-        padded[:, : self.eta_dense.size] = s_dense
-        spectrum_sum = np.fft.fft(padded.conj(), axis=1).conj()  # sum_e S_e e^{+2pi i e j/N}
-        offsets_unit = np.fft.fftfreq(self.n_fft) * self.n_fft  # j' = 0,1,...,-1
-        d_off = 2.0 * math.pi * h / (self.n_fft * deta)
-        offsets = np.fft.fftshift(offsets_unit) * d_off
-        vals = np.fft.fftshift(spectrum_sum, axes=1)
-        carrier = np.exp(1j * (self.eta_dense[0] / h) * offsets)
-        vals = vals * carrier[None, :] * deta
-        return vals, offsets, center
+        dense = np.concatenate((s.real, s.imag)) @ self._interp
+        n_x = s.shape[0]
+        vals = self._y(dense[:n_x], dense[n_x:], center - natural_center)
+        return vals, self._y.offsets, center
 
     def field(self, t: float, y_center: float | None = None) -> CuspField:
         vals, offsets, center = self.field_values(t, y_center)
@@ -558,6 +569,7 @@ class TraceEvaluator:
         lo, hi = self.window.support
         self.eta = np.linspace(lo, hi, n_eta)
         self.n_fft = n_fft
+        self._y = _YAssembly(self.eta, h, n_fft)
 
         spec = symbol.spectrum
         above = np.abs(spec) > 1e-14 * np.abs(spec).max()
@@ -591,14 +603,14 @@ class TraceEvaluator:
         dxi = float(self.xi[1] - self.xi[0]) if self.xi.size > 1 else 1.0
         pref = 2.0 * math.pi * math.sqrt(params.a / lam) * self.window(self.eta) / np.sqrt(self.eta)
         self._weights = pref[:, None] * tr * refl * base[None, :] * (dxi / (2.0 * math.pi))
+        self._weights *= self._y.signs[:, None]
 
     def y_center(self, t: float) -> float:
         a = self.params.a
         return t * math.sqrt(1.0 + a) - ((4.0 * self.n - 2.0 * self.sign) / 3.0) * a**1.5
 
     def signal(self, t: float, y_center: float | None = None) -> TraceSignal:
-        params = self.params
-        a, h = params.a, params.h
+        a = self.params.a
         root = math.sqrt((1.0 + a) * a)
         w = t / (2.0 * root) - 2.0 * self.n
         if abs(w) > 3.0:
@@ -606,16 +618,9 @@ class TraceEvaluator:
         natural = self.y_center(t)
         center = natural if y_center is None else float(y_center)
         vals_eta = self._weights @ np.exp(1j * self.xi * w)
-        if center != natural:
-            vals_eta = vals_eta * np.exp(1j * (self.eta / h) * (center - natural))
-        deta = self.eta[1] - self.eta[0]
-        padded = np.zeros(self.n_fft, dtype=complex)
-        padded[: self.eta.size] = vals_eta
-        summed = np.fft.fft(padded.conj()).conj()
-        d_off = 2.0 * math.pi * h / (self.n_fft * deta)
-        offsets = np.fft.fftshift(np.fft.fftfreq(self.n_fft) * self.n_fft) * d_off
-        vals = np.fft.fftshift(summed) * np.exp(1j * (self.eta[0] / h) * offsets) * deta
-        return TraceSignal(values=vals, y=center + offsets, y_center=center, t=t,
+        vals = self._y(vals_eta.real, vals_eta.imag, center - natural)
+        vals *= self._y.deta
+        return TraceSignal(values=vals, y=center + self._y.offsets, y_center=center, t=t,
                            n=self.n, sign=self.sign)
 
 

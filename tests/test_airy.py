@@ -132,3 +132,22 @@ def test_airy_table_matches_direct(rng):
     table = AiryTable(-80.0, 20.0)
     pts = rng.uniform(-78.0, 18.0, 4000)
     assert np.max(np.abs(table(pts) - ai(pts))) < 2e-7
+
+
+def test_airy_table_lookup_bit_identical_to_four_point_formula(rng):
+    # the coefficient-table lookup reproduces the inline four-point cubic bit
+    # for bit, across several lookup blocks, both table edges and beyond them
+    table = AiryTable(-30.0, 10.0)
+    v = rng.uniform(table.lo - 0.05, table.hi + 0.05, (3, 7001))
+    v[0, :4] = [table.lo, table.hi, table.grid[1], table.grid[-3]]
+    pos = (v - table.lo) / table.step
+    i = np.clip(pos.astype(int), 1, table.grid.size - 3)
+    t = pos - i
+    f_m1, f_0, f_1, f_2 = (table.values[i + k] for k in (-1, 0, 1, 2))
+    b = -f_m1 / 3.0 - f_0 / 2.0 + f_1 - f_2 / 6.0
+    c = (f_m1 - 2.0 * f_0 + f_1) / 2.0
+    d = (-f_m1 + 3.0 * f_0 - 3.0 * f_1 + f_2) / 6.0
+    expected = f_0 + t * (b + t * (c + t * d))
+    got = table(v)
+    assert got.shape == v.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))

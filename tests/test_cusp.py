@@ -253,6 +253,55 @@ def test_field_airy_reduction_vs_brute_quadrature():
     assert num / den <= 1e-3
 
 
+def _field_values_oracle(ev, t, y_center=None):
+    """The slice assembly as first written: row-wise cubic eta interpolation,
+    fft of the conjugate, fftshift, then carrier and step."""
+    a, h = ev.params.a, ev.params.h
+    w = t / (2.0 * math.sqrt((1.0 + a) * a)) - 2.0 * ev.n
+    natural = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * ev.n * a**1.5
+    center = natural if y_center is None else y_center
+    s = ev._s_coarse(w)
+    pos = (ev.eta_dense - ev.eta[0]) / (ev.eta[1] - ev.eta[0])
+    i = np.clip(pos.astype(int), 1, s.shape[1] - 3)
+    tt = pos - i
+    f_m1, f_0, f_1, f_2 = (s[:, i + k] for k in (-1, 0, 1, 2))
+    b = -f_m1 / 3.0 - f_0 / 2.0 + f_1 - f_2 / 6.0
+    c = (f_m1 - 2.0 * f_0 + f_1) / 2.0
+    d = (-f_m1 + 3.0 * f_0 - 3.0 * f_1 + f_2) / 6.0
+    s_dense = f_0 + tt * (b + tt * (c + tt * d))
+    if center != natural:
+        s_dense = s_dense * np.exp(1j * (ev.eta_dense / h) * (center - natural))
+    deta = ev.eta_dense[1] - ev.eta_dense[0]
+    padded = np.zeros((s.shape[0], ev.n_fft), dtype=complex)
+    padded[:, : ev.eta_dense.size] = s_dense
+    summed = np.fft.fftshift(np.fft.fft(padded.conj(), axis=1).conj(), axes=1)
+    offsets = np.fft.fftshift(np.fft.fftfreq(ev.n_fft) * ev.n_fft) * (2.0 * math.pi * h / (ev.n_fft * deta))
+    return summed * np.exp(1j * (ev.eta_dense[0] / h) * offsets) * deta, offsets, center
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_field_values_match_direct_assembly(n):
+    params = make_params(2.0**-12, 0.1, 0.25)
+    root = math.sqrt((1.0 + params.a) * params.a)
+    ev = CuspEvaluator(params, n, n_x=40)
+    t = (4.0 * n + 0.6) * root
+    natural = ev.field_values(t)[2]
+    for y_center in (None, natural + 0.3 * root):
+        vals, offsets, center = ev.field_values(t, y_center)
+        ref_vals, ref_offsets, ref_center = _field_values_oracle(ev, t, y_center)
+        assert center == ref_center
+        np.testing.assert_array_equal(offsets, ref_offsets)
+        assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max()
+
+
+def test_odd_n_fft_rejected(params_mid, symbol_mid):
+    # the y-offset fftshift is folded into the signs (-1)^e, exact only for even n_fft
+    with pytest.raises(CuspError, match="even"):
+        CuspEvaluator(params_mid, 0, symbol=symbol_mid, n_fft=4095)
+    with pytest.raises(CuspError, match="even"):
+        TraceEvaluator(params_mid, 0, -1, symbol=symbol_mid, n_fft=4095)
+
+
 def test_field_x_localization():
     params = make_params(2.0**-18, 0.1, 0.25)
     fld = cusp_field(0, 0.0, params)
