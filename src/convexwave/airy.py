@@ -11,7 +11,7 @@ so that Ai(-z) = A^+(-z) + A^-(-z) holds numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,8 +153,8 @@ def _taylor_core(z):
     return (1.0 - w) * acc0 + w * acc1
 
 
-def _branch_series(big_x, terms=None):
-    """S(X) = sum_k (i)^k u_k X^{-k}, truncated.
+def _branch_series(big_x, terms=None, sign: int = +1):
+    """S_sign(X) = sum_k (sign i)^k u_k X^{-k}, truncated.
 
     With ``terms=None`` the sum is truncated adaptively at the smallest term
     (per element); otherwise exactly ``terms + 1`` terms are kept.
@@ -163,18 +163,16 @@ def _branch_series(big_x, terms=None):
     k_max = _UK.size - 1 if terms is None else terms
     s = np.ones(big_x.shape, dtype=complex)
     term = np.ones(big_x.shape, dtype=complex)
-    if terms is None:
-        active = np.ones(big_x.shape, dtype=bool)
-        last_mag = np.full(big_x.shape, np.inf)
-        for k in range(1, k_max + 1):
-            term = term * (1j * _UK[k] / _UK[k - 1]) / big_x
+    active = np.ones(big_x.shape, dtype=bool)
+    last_mag = np.full(big_x.shape, np.inf)
+    for k in range(1, k_max + 1):
+        term = term * (sign * 1j * _UK[k] / _UK[k - 1]) / big_x
+        if terms is None:
             mag = np.abs(term)
             active &= mag < last_mag
             s = np.where(active, s + term, s)
             last_mag = np.where(active, mag, last_mag)
-    else:
-        for k in range(1, k_max + 1):
-            term = term * (1j * _UK[k] / _UK[k - 1]) / big_x
+        else:
             s = s + term
     return s
 
@@ -382,9 +380,6 @@ class AiryBranchExpansion:
     terms: int
     coefficients: np.ndarray
     leading_constant: float = _LEADING
-    # alternative normalization seen in some tables, off from the classical
-    # envelope constant by a factor 2 pi; recorded for comparison only
-    alt_leading: float = field(default=1.0 / (4.0 * math.pi**1.5), compare=False)
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
@@ -415,11 +410,7 @@ def airy_branch(z, sign: int, terms: int = 3):
     if np.any(zf < 2.0):
         raise AiryError("airy_branch requires z >= 2 (expansion divergent below)")
     big_x = (2.0 / 3.0) * zf**1.5
-    series = np.ones(zf.shape, dtype=complex)
-    term = np.ones(zf.shape, dtype=complex)
-    for k in range(1, terms + 1):
-        term = term * (sign * 1j * _UK[k] / _UK[k - 1]) / big_x
-        series = series + term
+    series = _branch_series(big_x, terms, sign)
     val = _LEADING * zf**-0.25 * np.exp(-1j * sign * (big_x - 0.25 * math.pi)) * series
     if scalar:
         return complex(val[0])

@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .gallery import GalleryError, strichartz_quotient
 from .oscillatory import GridCoverageError, QuadratureError, gamma_schrodinger, gamma_wave, pool_curves
 from .params import ParameterError, make_params, sharp_schrodinger_q, sharp_wave_q
 from .cusp import CuspError, PhaseSpacePoint, billiard_iterate, boundary_residual, cusp_field
-from .normlab import NormError, NormRegionSpec, counterexample_report, region_norms
+from .normlab import NormError, NormRegionSpec, counterexample_report, parallel_map, region_norms
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -53,15 +52,6 @@ def write_csv(path: Path, header, rows, manifest_hash: str):
 def write_json(path: Path, obj, manifest_hash: str):
     payload = {"manifest": manifest_hash, **obj}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def parallel_map(fn, items, threads: int):
-    """Ordered map with a bounded worker pool (deterministic reduction order)."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 class Manifest:

@@ -18,12 +18,13 @@ requiring the n -> n+1 boundary-trace cancellation to hold numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .airy import _LEADING, _UK, AiryTable, cubic_coefficients, cubic_interpolate
-from .fields import FrequencyWindow, WaveField, trapezoid_weights
+from .airy import _LEADING, _UK, AiryTable, _branch_series, cubic_coefficients, cubic_interpolate
+from .fields import FrequencyWindow, WaveField
+from .normlab import grid_lr_norm, lqlr_norm, lr_norm
 from .params import SemiclassicalParams, reflection_count
 
 __all__ = [
@@ -144,11 +145,7 @@ class ReflectionKernel:
         """a_{sign}(zeta, omega): truncated branch amplitude including phase constants."""
         zeta = np.asarray(zeta, dtype=float)
         big_x = (2.0 / 3.0) * omega * (1.0 - zeta) ** 1.5
-        series = np.ones(zeta.shape, dtype=complex)
-        term = np.ones(zeta.shape, dtype=complex)
-        for k in range(1, self.branch_terms + 1):
-            term = term * (sign * 1j * _UK[k] / _UK[k - 1]) / big_x
-            series = series + term
+        series = _branch_series(big_x, self.branch_terms, sign)
         return _LEADING * (1.0 - zeta) ** -0.25 * np.exp(sign * 1j * math.pi / 4.0) * series
 
     def trace_multiplier(self, zeta, omega, sign: int):
@@ -170,6 +167,20 @@ class ReflectionKernel:
     def transfer_multiplier(self, zeta, omega):
         """One-reflection spectral multiplier c(zeta, omega) e^{i omega f(zeta)}."""
         return self.c_symbol(zeta, omega) * np.exp(1j * omega * self.f(np.asarray(zeta, dtype=float)))
+
+    def reflection_multiplier(self, zeta, omega, n: int):
+        """n-fold multiplier (-1)^n [c e^{i omega f}]^n on |zeta| < 2c, 0 elsewhere; 1 for n = 0.
+
+        ``omega`` is a scalar or an array shaped like ``zeta``.
+        """
+        zeta = np.asarray(zeta, dtype=float)
+        if n == 0:
+            return np.ones(zeta.shape, dtype=complex)
+        mult = np.zeros(zeta.shape, dtype=complex)
+        ok = np.abs(zeta) < 2.0 * self.chi_flat
+        mult[ok] = self.transfer_multiplier(zeta[ok], omega[ok] if np.ndim(omega) else omega) ** n
+        mult *= (-1.0) ** n
+        return mult
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +340,7 @@ def iterate_symbol(rho0: CuspSymbol, n: int, eta: float, params: SemiclassicalPa
     omega = eta * lam
     if omega / n < 4.0:
         raise CuspError(f"eta lam / n = {omega/n:.2f} < 4: reflection regime violated")
-    zeta = rho0.xi / omega
-    mult = np.zeros_like(rho0.spectrum)
-    ok = np.abs(zeta) < 2.0 * kernel.chi_flat
-    mult[ok] = kernel.transfer_multiplier(zeta[ok], omega) ** n
-    spectrum = (-1.0) ** n * psi * mult * rho0.spectrum
+    spectrum = psi * kernel.reflection_multiplier(rho0.xi / omega, omega, n) * rho0.spectrum
     dz = rho0.dz
     values = np.fft.ifft(spectrum * np.exp(1j * rho0.z[0] * rho0.xi)) / dz
     out = replace(rho0, values=values, spectrum=spectrum, eta=eta, order=n)
@@ -355,15 +362,6 @@ class CuspField(WaveField):
 
     n: int = 0
     params: SemiclassicalParams | None = None
-
-    def x_mass_fraction_beyond(self, x_cut: float) -> float:
-        wx = trapezoid_weights(self.x)
-        profile = (np.abs(self.values) ** 2) @ trapezoid_weights(self.y)
-        total = float(profile @ wx)
-        if total == 0.0:
-            return 0.0
-        sel = self.x > x_cut
-        return float((profile[sel] @ wx[sel]) / total)
 
 
 class _YAssembly:
@@ -465,14 +463,7 @@ class CuspEvaluator:
             raise CuspError(f"eta lam / n < 4 across the window for n = {self.n}")
 
         omega = np.outer(self.eta, np.ones_like(self.xi)) * lam
-        zeta = self.xi[None, :] / omega
-        if self.n > 0:
-            mult = np.zeros_like(omega, dtype=complex)
-            ok = np.abs(zeta) < 2.0 * self.kernel.chi_flat
-            mult[ok] = self.kernel.transfer_multiplier(zeta[ok], omega[ok]) ** self.n
-            mult *= (-1.0) ** self.n
-        else:
-            mult = np.ones_like(omega, dtype=complex)
+        mult = self.kernel.reflection_multiplier(self.xi[None, :] / omega, omega, self.n)
         weights = self.window(self.eta)[:, None] * mult * base_spec[None, :]
         if second_deriv:
             weights = weights * (1j * self.xi[None, :]) ** 2 * (h**-params.delta / (4.0 * (1.0 + a)))
@@ -529,9 +520,7 @@ def wave_residual(n: int, t: float, params: SemiclassicalParams, **opts) -> Cusp
     Same Airy reduction with the spectrum multiplied by (i xi)^2 and prefactor
     h^{-delta} / (4 (1+a)).
     """
-    opts = dict(opts)
-    opts["second_deriv"] = True
-    return CuspEvaluator(params, n, **opts).field(t)
+    return CuspEvaluator(params, n, second_deriv=True, **opts).field(t)
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +582,7 @@ class TraceEvaluator:
                 f"chi cutoff clips {clipped:.2%} > {clip_tol:.0%} of |rhohat| mass: "
                 "symbol insufficiently localized for this lambda"
             )
-        refl = np.ones_like(omega, dtype=complex)
-        if self.n > 0:
-            refl = np.zeros_like(omega, dtype=complex)
-            refl[inside] = self.kernel.transfer_multiplier(zeta[inside], omega[inside]) ** self.n
-            refl *= (-1.0) ** self.n
+        refl = self.kernel.reflection_multiplier(zeta, omega, self.n)
         tr = np.zeros_like(omega, dtype=complex)
         tr[inside] = self.kernel.trace_multiplier(zeta[inside], omega[inside], sign)
         dxi = float(self.xi[1] - self.xi[0]) if self.xi.size > 1 else 1.0
@@ -629,13 +614,31 @@ def trace(n: int, sign: int, t: float, params: SemiclassicalParams, **opts) -> T
     return TraceEvaluator(params, n, sign, **opts).signal(t)
 
 
+def _pair_sums(params: SemiclassicalParams, n: int, t_grid, **opts) -> tuple[float, float]:
+    """(pair_sq, trace_sq): |Tr_-(u^n) + Tr_+(u^{n+1})|^2 and |Tr_-(u^n)|^2 summed over t_grid and y.
+
+    Both traces share the carrier center exactly; ``opts`` go to both
+    :class:`TraceEvaluator` instances.
+    """
+    tr_m = TraceEvaluator(params, n, -1, **opts)
+    tr_p = TraceEvaluator(params, n + 1, +1, **opts)
+    pair_sq = 0.0
+    trace_sq = 0.0
+    for t in t_grid:
+        sm = tr_m.signal(t)
+        sp = tr_p.signal(t, y_center=sm.y_center)
+        dy = sm.y[1] - sm.y[0]
+        pair_sq += float(np.sum(np.abs(sm.values + sp.values) ** 2) * dy)
+        trace_sq += float(np.sum(np.abs(sm.values) ** 2) * dy)
+    return pair_sq, trace_sq
+
+
 def boundary_residual(n: int, params: SemiclassicalParams, *, n_t: int = 24,
-                      symbol: CuspSymbol | None = None, kernel: ReflectionKernel | None = None,
-                      window: FrequencyWindow | None = None, **opts) -> float:
+                      symbol: CuspSymbol | None = None, **opts) -> float:
     """|Tr_-(u^n) + Tr_+(u^{n+1})|_{L2(t,y)} / max(|Tr_-(u^n)|_{L2}, tiny).
 
-    Both traces share the carrier center exactly; the pair cancels up to the
-    chi-tail of the symbol spectrum and the branch-series truncation.
+    The pair cancels up to the chi-tail of the symbol spectrum and the
+    branch-series truncation.  ``opts`` go to :class:`TraceEvaluator`.
     """
     if n >= params.n_reflections:
         raise CuspError(f"need n < N = {params.n_reflections}")
@@ -645,17 +648,8 @@ def boundary_residual(n: int, params: SemiclassicalParams, *, n_t: int = 24,
         return 0.0
     a = params.a
     root = math.sqrt((1.0 + a) * a)
-    tr_m = TraceEvaluator(params, n, -1, symbol=symbol, kernel=kernel, window=window, **opts)
-    tr_p = TraceEvaluator(params, n + 1, +1, symbol=symbol, kernel=kernel, window=window, **opts)
     t_centers = (2.0 * n + 1.0 + np.linspace(-1.4, 1.4, n_t)) * 2.0 * root
-    num = 0.0
-    den = 0.0
-    for t in t_centers:
-        sm = tr_m.signal(t)
-        sp = tr_p.signal(t, y_center=sm.y_center)
-        dy = sm.y[1] - sm.y[0]
-        num += float(np.sum(np.abs(sm.values + sp.values) ** 2) * dy)
-        den += float(np.sum(np.abs(sm.values) ** 2) * dy)
+    num, den = _pair_sums(params, n, t_centers, symbol=symbol, **opts)
     den = math.sqrt(den)
     if den < 1e-300:
         return 0.0
@@ -663,15 +657,15 @@ def boundary_residual(n: int, params: SemiclassicalParams, *, n_t: int = 24,
 
 
 def dirichlet_residual(params: SemiclassicalParams, *, n_t: int = 16,
-                       symbol: CuspSymbol | None = None, kernel: ReflectionKernel | None = None,
-                       window: FrequencyWindow | None = None, **opts) -> dict:
+                       symbol: CuspSymbol | None = None, **opts) -> dict:
     """Full boundary check over [0,1]: all trace pairs plus the two edge traces.
 
     Returns the summed-trace L2 over [0,1] x boundary relative to the largest
-    single-trace L2, window by window.
+    single-trace L2, window by window.  ``opts`` go to :class:`TraceEvaluator`.
     """
     if symbol is None:
         symbol = make_symbol((-params.c0, params.c0), params)
+    opts["symbol"] = symbol
     a = params.a
     root = math.sqrt((1.0 + a) * a)
     big_n = params.n_reflections
@@ -679,24 +673,14 @@ def dirichlet_residual(params: SemiclassicalParams, *, n_t: int = 16,
     scale_sq = 0.0
     per_window = []
     for n in range(0, big_n):
-        tr_m = TraceEvaluator(params, n, -1, symbol=symbol, kernel=kernel, window=window, **opts)
-        tr_p = TraceEvaluator(params, n + 1, +1, symbol=symbol, kernel=kernel, window=window, **opts)
         t_grid = (2.0 * n + 1.0 + np.linspace(-1.2, 1.2, n_t)) * 2.0 * root
-        t_grid = t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)]
-        w_sq = 0.0
-        s_sq = 0.0
-        for t in t_grid:
-            sm = tr_m.signal(t)
-            sp = tr_p.signal(t, y_center=sm.y_center)
-            dy = sm.y[1] - sm.y[0]
-            w_sq += float(np.sum(np.abs(sm.values + sp.values) ** 2) * dy)
-            s_sq += float(np.sum(np.abs(sm.values) ** 2) * dy)
+        w_sq, s_sq = _pair_sums(params, n, t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)], **opts)
         total_sq += w_sq
         scale_sq = max(scale_sq, s_sq)
         per_window.append({"n": n, "pair_l2": math.sqrt(w_sq), "trace_l2": math.sqrt(s_sq)})
     # edge traces: Tr_+(u^0) lives at negative t, Tr_-(u^N) beyond t = 1
     for n_edge, sign in ((0, +1), (big_n, -1)):
-        ev = TraceEvaluator(params, n_edge, sign, symbol=symbol, kernel=kernel, window=window, **opts)
+        ev = TraceEvaluator(params, n_edge, sign, **opts)
         t_center = (2.0 * n_edge - sign) * 2.0 * root
         t_grid = t_center + np.linspace(-1.2, 1.2, n_t) * 2.0 * root
         t_grid = t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)]
@@ -744,10 +728,7 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
         vals = fld.values
         if k_hi != k_lo:
             vals = vals + get_ev(k_hi).field(t, y_center=fld.meta["y_center"]).values
-        wx = trapezoid_weights(fld.x)
-        wy = trapezoid_weights(fld.y)
-        mod = np.abs(vals)
-        return [float(np.einsum("i,ij,j->", wx, mod**p, wy)) ** (1.0 / p) for p in powers]
+        return [grid_lr_norm(vals, fld.x, fld.y, p) for p in powers]
 
     inner = np.empty(n_t)
     l2_initial = None
@@ -756,8 +737,7 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
             inner[i], l2_initial = two_cusp_norms(t, (r, 2))
         else:
             inner[i] = two_cusp_norms(t, (r,))[0]
-    wt = trapezoid_weights(times)
-    lqlr = float(np.dot(wt, inner ** float(q))) ** (1.0 / float(q))
+    lqlr = lqlr_norm(inner, float(q), r, times=times)
 
     checks = {}
     reliable = True
@@ -766,11 +746,7 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
         t_chk = (4.0 * k_chk + 2.0) * root  # gap apex between k_chk and k_chk+1
         fld = get_ev(k_chk).field(t_chk)
         third = get_ev(k_chk - 1).field(t_chk, y_center=fld.meta["y_center"])
-        wx = trapezoid_weights(fld.x)
-        wy = trapezoid_weights(fld.y)
-        n_local = float(np.einsum("i,ij,j->", wx, np.abs(fld.values) ** r, wy)) ** (1.0 / r)
-        n_third = float(np.einsum("i,ij,j->", wx, np.abs(third.values) ** r, wy)) ** (1.0 / r)
-        checks["third_cusp_fraction"] = n_third / max(n_local, 1e-300)
+        checks["third_cusp_fraction"] = lr_norm(third, r) / max(lr_norm(fld, r), 1e-300)
         reliable = checks["third_cusp_fraction"] < 1e-3
 
     return {

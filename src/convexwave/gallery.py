@@ -16,7 +16,8 @@ import numpy as np
 
 from .airy import ai, airy_zeros
 from .fields import FrequencyWindow, TransverseGrid, WaveField, make_transverse_grid, trapezoid_weights
-from .normlab import NormScanResult, fit_exponent, lqlr_norm, lr_norm
+from .normlab import NormScanResult, fit_exponent, grid_lr_norm, lqlr_norm, lr_norm
+from .oscillatory import g_schrodinger, g_wave
 
 
 class GalleryError(ValueError):
@@ -72,9 +73,8 @@ class TransverseFlow:
             raise GalleryError(f"unknown flow kind {self.kind!r}")
 
     def symbol(self, eta):
-        eta = np.abs(np.asarray(eta, dtype=float))
-        g_s = eta**2 + self.omega * self.h ** (2.0 / 3.0) * eta ** (4.0 / 3.0)
-        return np.sqrt(g_s) if self.kind.startswith("halfwave") else g_s
+        g = g_wave if self.kind.startswith("halfwave") else g_schrodinger
+        return g(eta, self.omega, self.h)
 
     def multiplier(self, t: float, eta):
         g = self.symbol(eta)
@@ -114,12 +114,10 @@ def default_x_grid(spec: GalleryModeSpec, n_x: int = 160, depth: float = 4.0) ->
     return np.linspace(0.0, x_max, n_x)
 
 
-def _mode_rows(spec: GalleryModeSpec, x: np.ndarray) -> np.ndarray:
-    """Airy factors Ai(|eta|^{2/3} x / h^{2/3} - omega_k), shape (nx, n_eta_active)."""
-    eta = spec.grid.eta
-    aeta = np.abs(eta)
-    arg = aeta[None, :] ** (2.0 / 3.0) * x[:, None] / spec.h ** (2.0 / 3.0) - spec.omega_k
-    return arg
+def _mode_args(spec: GalleryModeSpec, x: np.ndarray) -> np.ndarray:
+    """Airy arguments |eta|^{2/3} x / h^{2/3} - omega_k on the full eta grid, shape (nx, n_eta)."""
+    aeta = np.abs(spec.grid.eta)
+    return aeta[None, :] ** (2.0 / 3.0) * x[:, None] / spec.h ** (2.0 / 3.0) - spec.omega_k
 
 
 def gallery_mode(spec: GalleryModeSpec, x: np.ndarray | None = None, *, t: float = 0.0,
@@ -139,18 +137,15 @@ def gallery_mode(spec: GalleryModeSpec, x: np.ndarray | None = None, *, t: float
     active = np.abs(spectrum) > 1e-14 * (np.abs(spectrum).max() or 1.0)
     rows = np.zeros((x.size, spec.grid.y.size), dtype=complex)
     if np.any(active):
-        arg = _mode_rows(spec, x)[:, active]
+        arg = _mode_args(spec, x)[:, active]
         airy_fac = ai(arg.ravel()).reshape(arg.shape)
         spec_rows = np.zeros((x.size, spec.grid.y.size), dtype=complex)
         spec_rows[:, active] = airy_fac * spectrum[active][None, :]
         rows = spec.grid.ifft(spec_rows)
     fld = WaveField(values=rows, x=x, y=spec.grid.y, h=spec.h, t=t)
-    profile = np.abs(rows) ** 2 @ trapezoid_weights(spec.grid.y)
-    wx = trapezoid_weights(x)
-    total = float(profile @ wx)
-    tail = float(profile[x > 0.9 * x[-1]] @ wx[x > 0.9 * x[-1]])
-    if total > 0 and tail > tail_tol * total:
-        raise GalleryError(f"x-grid too short: tail mass fraction {tail/total:.2e} beyond 0.9 X")
+    tail = fld.x_mass_fraction_beyond(0.9 * x[-1])
+    if tail > tail_tol:
+        raise GalleryError(f"x-grid too short: tail mass fraction {tail:.2e} beyond 0.9 X")
     return fld
 
 
@@ -230,15 +225,13 @@ def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float,
     flow = TransverseFlow(kind=flow_kind, omega=omega, h=h)
     x = default_x_grid(spec, n_x=n_x)
 
-    arg = _mode_rows(spec, x)
+    arg = _mode_args(spec, x)
     base = spec.windowed_spectrum
     active = np.abs(base) > 1e-13 * np.abs(base).max()
     airy_fac = ai(arg[:, active].ravel()).reshape((x.size, int(active.sum())))
     eta_act = grid.eta[active]
     rows_act = airy_fac * base[active][None, :]
 
-    wy = trapezoid_weights(grid.y)
-    wx = trapezoid_weights(x)
     xi_act = grid.xi[active]
     phase0 = np.exp(1j * grid.y[0] * xi_act)
 
@@ -251,12 +244,9 @@ def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float,
         spec_rows = np.zeros((x.size, n_grid), dtype=complex)
         spec_rows[:, active] = rows_act * (mult * phase0)[None, :]
         vals = np.fft.ifft(spec_rows, axis=1) / grid.dy
-        if r == math.inf:
-            inner[it] = np.abs(vals).max()
-        else:
-            inner[it] = float(np.einsum("i,ij,j->", wx, np.abs(vals) ** r, wy)) ** (1.0 / r)
+        inner[it] = grid_lr_norm(vals, x, grid.y, r)
         if it == 0:
-            l2_0 = float(np.einsum("i,ij,j->", wx, np.abs(vals) ** 2, wy)) ** 0.5
+            l2_0 = grid_lr_norm(vals, x, grid.y, 2)
     lqlr = lqlr_norm(inner, q, r, times=times)
     return {"h": h, "lqlr": lqlr, "l2_initial": l2_0, "quotient": lqlr / l2_0,
             "n_y": grid.y.size, "n_x": x.size}
@@ -264,7 +254,7 @@ def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float,
 
 def strichartz_quotient(flow_kind: str, data: str, q, r, t_window, h_list, *, k: int = 0,
                         n_t: int = 25, window: FrequencyWindow | None = None,
-                        n_x: int = 120, threads: int = 1) -> NormScanResult:
+                        n_x: int = 120) -> NormScanResult:
     """Scan |u|_{Lq Lr} / |u(0)|_{L2} over h and fit the exponent.
 
     ``data`` is 'coherent' (the optimality packet) or 'gaussian' (an O(1)

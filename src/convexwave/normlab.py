@@ -22,9 +22,9 @@ class NormError(ValueError):
 
 def grid_lr_norm(values: np.ndarray, x: np.ndarray, y: np.ndarray, r) -> float:
     """L^r norm of samples on an (x, y) rectangle; r = inf returns the max."""
-    if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
-        raise NormError("non-finite field samples")
     mod = np.abs(values)
+    if not np.isfinite(mod).all():
+        raise NormError("non-finite field samples")
     if r == math.inf:
         return float(mod.max(initial=0.0))
     if r < 1:
@@ -33,6 +33,17 @@ def grid_lr_norm(values: np.ndarray, x: np.ndarray, y: np.ndarray, r) -> float:
     wy = trapezoid_weights(y)
     acc = float(np.einsum("i,ij,j->", wx, mod**r, wy))
     return acc ** (1.0 / r)
+
+
+def parallel_map(fn, items, threads: int):
+    """Ordered map with a bounded worker pool (deterministic reduction order)."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def lr_norm(field: WaveField, r) -> float:
@@ -283,13 +294,7 @@ def counterexample_report(r, epsilon, h_list, params_per_h=None, *, q=None, c0=0
         return cusp.uh_mixed_norms(params, q=q, r=r, samples_per_sqrt_a=samples_per_sqrt_a,
                                    **(evaluator_opts or {}))
 
-    if threads > 1 and len(params_per_h) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_h = list(pool.map(measure, params_per_h))
-    else:
-        per_h = [measure(p) for p in params_per_h]
+    per_h = parallel_map(measure, params_per_h, threads)
     reliable = all(m["reliable"] for m in per_h)
 
     samples, control_samples, norms = [], [], []

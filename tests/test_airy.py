@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from convexwave.airy import (
+    _LEADING,
+    _UK,
     AiryError,
     AiryTable,
     ai,
@@ -151,3 +153,18 @@ def test_airy_table_lookup_bit_identical_to_four_point_formula(rng):
     got = table(v)
     assert got.shape == v.shape
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("terms", [0, 3, 6])
+def test_airy_branch_bit_identical_to_inline_series(sign, terms):
+    # the shared branch series reproduces the inline (sign i)^k u_k X^{-k} loop bit for bit
+    z = np.linspace(2.0, 60.0, 997)
+    big_x = (2.0 / 3.0) * z**1.5
+    series = np.ones(z.shape, dtype=complex)
+    term = np.ones(z.shape, dtype=complex)
+    for k in range(1, terms + 1):
+        term = term * (sign * 1j * _UK[k] / _UK[k - 1]) / big_x
+        series = series + term
+    expected = _LEADING * z**-0.25 * np.exp(-1j * sign * (big_x - 0.25 * math.pi)) * series
+    assert np.array_equal(airy_branch(z, sign, terms), expected)

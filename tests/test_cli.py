@@ -65,6 +65,14 @@ def test_dispersion_schrodinger_small_run(tmp_path):
     assert abs(fit["h_exponent"]) <= 0.1  # no h^{-1/3} factor for the Schroedinger flow
     rows = (out / "dispersion.csv").read_text().strip().splitlines()
     assert rows[1] == "flow,d,h,lambda,mu,gamma"
+    # the worker pool keeps the row order and values; line 1 holds the manifest
+    # hash, which covers the thread count
+    out2 = tmp_path / "disp_threads"
+    assert run(["dispersion", "--flow", "schrodinger", "--h-min", 1e-3, "--h-max", 1e-2,
+                "--h-steps", 2, "--lambda-min", 60, "--lambda-max", 2500,
+                "--lambda-steps", 8, "--threads", 2, "--out", out2]) == 0
+    rows2 = (out2 / "dispersion.csv").read_text().strip().splitlines()
+    assert rows2[1:] == rows[1:]
 
 
 def test_cusp_requires_epsilon(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from convexwave.airy import _LEADING, _UK
 from convexwave.fields import FrequencyWindow
 from convexwave.params import make_params
 from convexwave.cusp import (
@@ -130,6 +131,45 @@ def test_truncated_ratio_error_scales_with_branch_terms():
             errs.append(np.max(np.abs(exact - trunc)))
         slope = np.polyfit(np.log(omegas), np.log(errs), 1)[0]
         assert slope == pytest.approx(slope_target, abs=0.25)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("terms", [0, 3, 6])
+def test_branch_symbol_bit_identical_to_inline_series(sign, terms):
+    kern = ReflectionKernel(branch_terms=terms)
+    zeta = np.linspace(-0.49, 0.49, 301)
+    for omega in (123.4, np.linspace(40.0, 400.0, zeta.size)):
+        big_x = (2.0 / 3.0) * omega * (1.0 - zeta) ** 1.5
+        series = np.ones(zeta.shape, dtype=complex)
+        term = np.ones(zeta.shape, dtype=complex)
+        for k in range(1, terms + 1):
+            term = term * (sign * 1j * _UK[k] / _UK[k - 1]) / big_x
+            series = series + term
+        expected = _LEADING * (1.0 - zeta) ** -0.25 * np.exp(sign * 1j * math.pi / 4.0) * series
+        assert np.array_equal(kern.branch_symbol(zeta, omega, sign), expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_reflection_multiplier_matches_masked_loop(n):
+    # reference masked loop: transfer^n on |zeta| < 2c, zero elsewhere, times (-1)^n
+    kern = ReflectionKernel()
+    xi = np.linspace(-80.0, 80.0, 257)
+    eta = np.linspace(0.78, 1.22, 9)
+    omega_2d = np.outer(eta, np.ones_like(xi)) * 150.0
+    for omega, zeta in ((150.0, xi / 150.0), (omega_2d, xi[None, :] / omega_2d)):
+        if n == 0:
+            expected = np.ones(zeta.shape, dtype=complex)
+        else:
+            expected = np.zeros(zeta.shape, dtype=complex)
+            ok = np.abs(zeta) < 2.0 * kern.chi_flat
+            om = omega[ok] if np.ndim(omega) else omega
+            expected[ok] = kern.transfer_multiplier(zeta[ok], om) ** n
+            expected *= (-1.0) ** n
+        got = kern.reflection_multiplier(zeta, omega, n)
+        assert got.shape == zeta.shape
+        assert np.array_equal(got, expected)
+        if n > 0:
+            assert np.any(got == 0.0) and np.any(got != 0.0)
 
 
 def test_make_symbol_mollifier_normalized(params_mid, symbol_mid):

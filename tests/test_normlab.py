@@ -12,6 +12,7 @@ from convexwave.normlab import (
     counterexample_report,
     fit_exponent,
     fit_powerlaw_2d,
+    grid_lr_norm,
     lqlr_norm,
     lr_norm,
     region_norms,
@@ -62,6 +63,15 @@ def test_lr_norm_rejects_nonfinite():
     vals[2, 2] = np.inf
     with pytest.raises(NormError):
         lr_norm(unit_square_field(vals), 2)
+
+
+def test_grid_lr_norm_rejects_nan_in_imaginary_part():
+    vals = np.ones((4, 5), dtype=complex)
+    vals[1, 3] = complex(1.0, np.nan)
+    x, y = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5)
+    for r in (2, math.inf):
+        with pytest.raises(NormError, match="non-finite"):
+            grid_lr_norm(vals, x, y, r)
 
 
 def test_lqlr_single_slice_needs_inf():
