@@ -237,6 +237,7 @@ def cmd_cusp(args) -> int:
             for r in r_list:
                 for region, value in region_norms(fld, region_spec, r, params).items():
                     region_rows.append((h, 0, 0.0, r, region, value))
+            del fld  # no region field outlives its iteration (it is 20 MiB at h=2^-12)
     write_csv(outdir / "region_norms.csv", ["h", "n", "t", "r", "region", "norm"],
               region_rows, manifest.hash)
 

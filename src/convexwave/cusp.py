@@ -618,8 +618,10 @@ def _pair_sums(params: SemiclassicalParams, n: int, t_grid, **opts) -> tuple[flo
     """(pair_sq, trace_sq): |Tr_-(u^n) + Tr_+(u^{n+1})|^2 and |Tr_-(u^n)|^2 summed over t_grid and y.
 
     Both traces share the carrier center exactly; ``opts`` go to both
-    :class:`TraceEvaluator` instances.
+    :class:`TraceEvaluator` instances, which are not built for an empty t_grid.
     """
+    if len(t_grid) == 0:
+        return 0.0, 0.0
     tr_m = TraceEvaluator(params, n, -1, **opts)
     tr_p = TraceEvaluator(params, n + 1, +1, **opts)
     pair_sq = 0.0
@@ -680,10 +682,12 @@ def dirichlet_residual(params: SemiclassicalParams, *, n_t: int = 16,
         per_window.append({"n": n, "pair_l2": math.sqrt(w_sq), "trace_l2": math.sqrt(s_sq)})
     # edge traces: Tr_+(u^0) lives at negative t, Tr_-(u^N) beyond t = 1
     for n_edge, sign in ((0, +1), (big_n, -1)):
-        ev = TraceEvaluator(params, n_edge, sign, **opts)
         t_center = (2.0 * n_edge - sign) * 2.0 * root
         t_grid = t_center + np.linspace(-1.2, 1.2, n_t) * 2.0 * root
         t_grid = t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)]
+        if t_grid.size == 0:
+            continue
+        ev = TraceEvaluator(params, n_edge, sign, **opts)
         for t in t_grid:
             sig = ev.signal(t)
             dy = sig.y[1] - sig.y[0]

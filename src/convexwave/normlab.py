@@ -31,8 +31,30 @@ def grid_lr_norm(values: np.ndarray, x: np.ndarray, y: np.ndarray, r) -> float:
         raise NormError(f"r must be >= 1, got {r}")
     wx = trapezoid_weights(x)
     wy = trapezoid_weights(y)
-    acc = float(np.einsum("i,ij,j->", wx, mod**r, wy))
+    acc = float(np.einsum("i,ij,j->", wx, power_in_place(mod, r), wy))
     return acc ** (1.0 / r)
+
+
+def power_in_place(mod: np.ndarray, r) -> np.ndarray:
+    """mod**r for mod >= 0; an integer r >= 1 squares repeatedly in mod's buffer.
+
+    ``mod`` is overwritten (pass the temporary that ``np.abs`` returned); any
+    other r falls back to ``mod**r``.
+    """
+    if not (r >= 1 and float(r).is_integer()):
+        return mod**r
+    r = int(r)
+    while r % 2 == 0:
+        np.multiply(mod, mod, out=mod)
+        r //= 2
+    out = mod if r == 1 else mod.copy()
+    r //= 2
+    while r:
+        np.multiply(mod, mod, out=mod)
+        if r % 2:
+            np.multiply(out, mod, out=out)
+        r //= 2
+    return out
 
 
 def parallel_map(fn, items, threads: int):
@@ -201,7 +223,7 @@ def region_norms(field: WaveField, spec: NormRegionSpec, r, params: Semiclassica
                 for name, mask in masks.items() if np.any(mask)}
     wx = trapezoid_weights(field.x)
     wy = trapezoid_weights(field.y)
-    row_power = (np.abs(field.values) ** r) @ wy
+    row_power = power_in_place(np.abs(field.values), r) @ wy
     out = {}
     for name, mask in masks.items():
         if not np.any(mask):

@@ -4,7 +4,9 @@
 per-panel phase variation below a fixed number of wavelengths before applying
 high-order Gauss rules.  ``stationary_phase`` is the asymptotic route, with
 expansion terms built from finite-difference Taylor data.  The gamma scans
-measure sup_z of the dispersion integrals for the two transverse flows.
+measure sup_z of the dispersion integrals for the two transverse flows with
+one fixed Gauss-Legendre rule per (curve, lambda), aligned with the window's
+kinks, and check the largest-lambda maximizer of each curve against the oracle.
 """
 
 from __future__ import annotations
@@ -350,37 +352,116 @@ def g_wave(eta, omega, h):
     return np.sqrt(g_schrodinger(eta, omega, h))
 
 
+# The scans' fixed rule: 24 Gauss-Legendre nodes per panel, panels short enough
+# that lam * max|z - G'| * (panel length) <= 16 over the whole z-span, and
+# |J(z)| evaluated against the node samples in blocks of at most 256 nodes.
+_RULE_NODES = 24
+_RULE_PHASE_CAP = 16.0
+_RULE_BLOCK = 256
+_RULE_PANEL_BUDGET = 4096
+
+
+class _FixedRule:
+    """J(z) = int exp(i lam (z eta - G(eta))) psi(eta) d eta for z in [z_lo, z_hi].
+
+    The window's support is split at its four kinks (where the C^order ramps
+    join), so psi is a polynomial on every piece and Gauss-Legendre converges
+    geometrically.  The node samples f_j = w_j psi(eta_j) exp(-i lam G(eta_j))
+    are computed once; each J(z) is then a dot product with exp(i lam z eta_j).
+    """
+
+    def __init__(self, g_func, window: FrequencyWindow, lam: float, z_lo: float, z_hi: float,
+                 tol: float):
+        if not 1e-12 <= tol <= 1e-3:
+            raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol}")
+        if not lam >= 1.0:
+            raise ValueError("large_param must be >= 1")
+        self.g_func, self.window, self.lam = g_func, window, lam
+        c, inner, outer = window.center, window.inner_halfwidth, window.outer_halfwidth
+        kinks = np.array([c - outer, c - inner, c + inner, c + outer])
+        x, w = _gl(_RULE_NODES)
+        step = 1e-6 * (kinks[-1] - kinks[0])
+        lo, hi = [], []
+        for a, b in zip(kinks[:-1], kinks[1:]):
+            probe = np.linspace(a, b, 17)
+            gp = (np.asarray(g_func(probe + step)) - np.asarray(g_func(probe - step))) / (2 * step)
+            slope = float(np.max(np.maximum(np.abs(z_lo - gp), np.abs(z_hi - gp))))
+            if not math.isfinite(slope):
+                raise ValueError("phase is not differentiable on the window")
+            n = max(1, math.ceil(lam * slope * (b - a) / _RULE_PHASE_CAP))
+            edges = np.linspace(a, b, n + 1)
+            lo.append(edges[:-1])
+            hi.append(edges[1:])
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        if lo.size > _RULE_PANEL_BUDGET:
+            raise QuadratureError(f"fixed rule needs {lo.size} panels > {_RULE_PANEL_BUDGET}")
+        half = 0.5 * (hi - lo)
+        self.nodes = ((0.5 * (hi + lo))[:, None] + half[:, None] * x).ravel()
+        amp = np.asarray(window(self.nodes), dtype=float)
+        phase = np.asarray(g_func(self.nodes), dtype=float)
+        if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(phase))):
+            raise ValueError("phase/amplitude not finite on the domain")
+        self.samples = (half[:, None] * w).ravel() * amp * np.exp(-1j * lam * phase)
+
+    def __call__(self, z) -> np.ndarray:
+        """Complex J at each z, summed over node blocks."""
+        z = np.asarray(z, dtype=float)
+        out = np.zeros(z.size, dtype=complex)
+        for s in range(0, self.nodes.size, _RULE_BLOCK):
+            arg = np.multiply.outer(self.lam * z, self.nodes[s:s + _RULE_BLOCK])
+            out += np.exp(1j * arg) @ self.samples[s:s + _RULE_BLOCK]
+        return out
+
+
 def _sup_over_z(g_func, window: FrequencyWindow, lam: float, z_grid: np.ndarray,
-                tol: float, rounds: int = 4, allow_left_edge: bool = False) -> tuple[float, float]:
-    """Max over z of |int exp(i lam (z eta - G(eta))) psi(eta) d eta| with refinement."""
-    lo, hi = window.support
+                tol: float, rounds: int = 4) -> tuple[float, float, _FixedRule]:
+    """Max over z of |int exp(i lam (z eta - G(eta))) psi(eta) d eta| with refinement.
 
-    def j_abs(z):
-        prob = OscillatoryProblem(
-            phase=lambda e, zz=z: zz * e - g_func(e),
-            amplitude=window,
-            large_param=lam,
-            domain=(lo, hi),
-        )
-        return abs(quad_oscillatory(prob, tol))
-
+    Returns the sup, its maximizer and the fixed rule that evaluated the scan.
+    """
     grid = np.array(z_grid, dtype=float)
-    vals = np.array([j_abs(z) for z in grid])
+    rule = _FixedRule(g_func, window, lam, float(grid.min()), float(grid.max()), tol)
+    vals = np.abs(rule(grid))
     for _ in range(rounds):
         i = int(np.argmax(vals))
-        if i == 0 and not allow_left_edge:
+        if i == 0:
             raise GridCoverageError(f"sup attained at left z-grid edge z={grid[0]:.5g}")
         if i == grid.size - 1:
             raise GridCoverageError(f"sup attained at right z-grid edge z={grid[-1]:.5g}")
-        lo_i, hi_i = max(i - 1, 0), min(i + 1, grid.size - 1)
-        refined = np.linspace(grid[lo_i], grid[hi_i], 9)[1:-1]
-        new_vals = np.array([j_abs(z) for z in refined])
+        refined = np.linspace(grid[i - 1], grid[i + 1], 9)[1:-1]
         grid = np.concatenate([grid, refined])
-        vals = np.concatenate([vals, new_vals])
+        vals = np.concatenate([vals, np.abs(rule(refined))])
         order = np.argsort(grid)
         grid, vals = grid[order], vals[order]
     i = int(np.argmax(vals))
-    return float(vals[i]), float(grid[i])
+    return float(vals[i]), float(grid[i]), rule
+
+
+def _largest_lambda(spot, rule: _FixedRule, z_at: float):
+    """Keep the (rule, maximizer) pair of the largest lambda seen so far."""
+    return (rule, z_at) if spot is None or rule.lam > spot[0].lam else spot
+
+
+def _spot_check(curve: DispersionCurve, spot, tol: float) -> None:
+    """Compare the largest-lambda scan with the oracle at its maximizer.
+
+    Records |fixed rule - quad_oscillatory| as ``curve.meta["oracle_diff"]``
+    and raises QuadratureError when it exceeds tol.
+    """
+    if spot is None:
+        return
+    rule, z = spot
+    prob = OscillatoryProblem(
+        phase=lambda e: z * e - rule.g_func(e),
+        amplitude=rule.window,
+        large_param=rule.lam,
+        domain=rule.window.support,
+    )
+    diff = abs(complex(rule([z])[0]) - quad_oscillatory(prob, tol))
+    if not diff <= tol:
+        raise QuadratureError(f"fixed rule differs from the oracle by {diff:.2e} > tol={tol:.2e} "
+                              f"at lam={rule.lam:.5g}, z={z:.8g}")
+    curve.meta["oracle_diff"] = diff
 
 
 def _grid_jitter(seed, n: int, dz: float) -> np.ndarray:
@@ -406,13 +487,17 @@ def gamma_schrodinger(params: SemiclassicalParams, omega_k: float, d: int, lambd
     z_lo, z_hi = gp(lo), gp(hi)
     pad = 0.25 * (z_hi - z_lo)
     samples = []
+    spot = None
     for lam in lambda_grid:
         z_grid = np.linspace(z_lo - pad, z_hi + pad, n_z)
         z_grid[1:-1] += _grid_jitter(seed, n_z - 2, z_grid[1] - z_grid[0])
-        gamma, z_at = _sup_over_z(g, window, float(lam), z_grid, tol)
+        gamma, z_at, rule = _sup_over_z(g, window, float(lam), z_grid, tol)
+        spot = _largest_lambda(spot, rule, z_at)
         samples.append(DispersionSample(lam=float(lam), h=h, mu=float(lam) * h ** (2.0 / 3.0),
                                         gamma=gamma, z_at_max=z_at))
-    return DispersionCurve(flow="schrodinger", d=d, samples=samples).fit()
+    curve = DispersionCurve(flow="schrodinger", d=d, samples=samples)
+    _spot_check(curve, spot, tol)
+    return curve.fit()
 
 
 def gamma_wave(params: SemiclassicalParams, omega_k: float, d: int, lambda_grid,
@@ -433,11 +518,13 @@ def gamma_wave(params: SemiclassicalParams, omega_k: float, d: int, lambda_grid,
     x_hi = (omega_k / 6.0) * rho_lo ** (-2.0 / 3.0) * 1.8 + 0.3
     samples = []
     interior = []
+    spot = None
     for lam in lambda_grid:
         x_grid = np.linspace(-0.6, x_hi, n_x)
         x_grid[1:-1] += _grid_jitter(seed, n_x - 2, x_grid[1] - x_grid[0])
         z_grid = 1.0 + h ** (2.0 / 3.0) * x_grid
-        gamma, z_at = _sup_over_z(g, window, float(lam), z_grid, tol)
+        gamma, z_at, rule = _sup_over_z(g, window, float(lam), z_grid, tol)
+        spot = _largest_lambda(spot, rule, z_at)
         x_at = (z_at - 1.0) / h ** (2.0 / 3.0)
         rho_at = (6.0 * x_at / omega_k) ** (-1.5) if x_at > 0 else math.inf
         interior.append(window.support[0] <= rho_at <= window.support[1])
@@ -445,6 +532,7 @@ def gamma_wave(params: SemiclassicalParams, omega_k: float, d: int, lambda_grid,
                                         gamma=gamma, z_at_max=z_at))
     curve = DispersionCurve(flow="wave", d=d, samples=samples,
                             meta={"stationary_rho_inside_window": interior})
+    _spot_check(curve, spot, tol)
     return curve.fit(mu_min=4.0)
 
 
@@ -456,4 +544,7 @@ def pool_curves(curves) -> DispersionCurve:
     flow = flows.pop()
     merged = DispersionCurve(flow=flow, d=curves[0].d,
                              samples=[s for c in curves for s in c.samples])
+    diffs = [c.meta["oracle_diff"] for c in curves if "oracle_diff" in c.meta]
+    if diffs:
+        merged.meta["oracle_diff"] = max(diffs)
     return merged.fit(mu_min=4.0 if flow == "wave" else None)

@@ -74,11 +74,6 @@ class SemiclassicalParams:
     def sqrt_a(self) -> float:
         return math.sqrt(self.a)
 
-    @property
-    def reflection_period(self) -> float:
-        """Time between consecutive cusp centers, 4 sqrt(a(1+a))."""
-        return 4.0 * math.sqrt(self.a * (1.0 + self.a))
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -75,6 +75,15 @@ def test_dispersion_schrodinger_small_run(tmp_path):
     assert rows2[1:] == rows[1:]
 
 
+def test_dispersion_fit_reports_oracle_diff(tmp_path):
+    out = tmp_path / "disp"
+    assert run(["dispersion", "--flow", "wave", "--h-min", 1e-3, "--h-max", 1e-2,
+                "--h-steps", 2, "--lambda-min", 100, "--lambda-max", 400,
+                "--lambda-steps", 2, "--out", out]) == 0
+    fit = json.loads((out / "dispersion_fit.json").read_text())
+    assert 0.0 <= fit["meta"]["oracle_diff"] <= 1e-9
+
+
 def test_cusp_requires_epsilon(tmp_path):
     assert run(["cusp", "--h-list", "0.0001", "--out", tmp_path / "c"]) == 2
 

@@ -15,6 +15,7 @@ from convexwave.cusp import (
     PhaseSpacePoint,
     ReflectionKernel,
     TraceEvaluator,
+    _pair_sums,
     billiard,
     billiard_iterate,
     boundary_residual,
@@ -458,6 +459,27 @@ def test_dirichlet_residual_at_moderate_lambda():
     out = dirichlet_residual(params)
     assert out["ratio"] <= 1e-2
     assert out["n_reflections"] == params.n_reflections
+
+
+def test_dirichlet_residual_builds_no_trace_without_times(monkeypatch):
+    # at h=2^-20 the Tr_-(u^N) edge window keeps none of its 16 times in [0, 1],
+    # so only the 2N pair evaluators and the Tr_+(u^0) edge are built
+    built = []
+    init = TraceEvaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[1:3])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceEvaluator, "__init__", counting_init)
+    params = make_params(2.0**-20, 0.1, 0.25)
+    out = dirichlet_residual(params)
+    assert len(built) == 2 * params.n_reflections + 1
+    assert (params.n_reflections, -1) not in built
+    assert out["ratio"] == pytest.approx(4.398645254520138e-07, rel=1e-12)
+    built.clear()
+    assert _pair_sums(params, 0, np.array([])) == (0.0, 0.0)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

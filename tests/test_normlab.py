@@ -15,6 +15,7 @@ from convexwave.normlab import (
     grid_lr_norm,
     lqlr_norm,
     lr_norm,
+    power_in_place,
     region_norms,
 )
 from convexwave.params import make_params
@@ -197,3 +198,14 @@ def test_counterexample_threads_deterministic():
     rep1 = counterexample_report(6, 0.1, h_list, samples_per_sqrt_a=9, threads=1)
     rep2 = counterexample_report(6, 0.1, h_list, samples_per_sqrt_a=9, threads=2)
     assert rep1.samples == rep2.samples
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 6, 8])
+def test_power_in_place_matches_pow(rng, r):
+    mod = np.abs(rng.normal(size=(37, 64)) + 1j * rng.normal(size=(37, 64)))
+    mod[0, :3] = (0.0, 1e-30, 1e30 ** (1.0 / r))
+    ref = mod**r
+    got = power_in_place(mod.copy(), float(r))
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+    frac = power_in_place(mod.copy(), r + 0.5)  # a non-integer r keeps **
+    assert np.array_equal(frac, mod ** (r + 0.5))

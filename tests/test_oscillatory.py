@@ -7,12 +7,15 @@ import pytest
 
 from convexwave.airy import airy_zeros
 from convexwave.fields import FrequencyWindow
+from convexwave import oscillatory
 from convexwave.oscillatory import (
     DispersionCurve,
     OscillatoryProblem,
     QuadratureError,
     StationaryPhaseError,
     gamma_schrodinger,
+    g_schrodinger,
+    g_wave,
     gamma_wave,
     pool_curves,
     quad_oscillatory,
@@ -230,3 +233,78 @@ def test_gamma_seed_jitter_deterministic():
     assert a.samples[0].gamma == b.samples[0].gamma
     # different jitter moves the scan grid but the refined sup barely shifts
     assert abs(a.samples[0].gamma - c.samples[0].gamma) <= 2e-3 * a.samples[0].gamma
+
+
+def _scan_span(flow, omega, h, window):
+    """The symbol and the z-span that gamma_schrodinger / gamma_wave scan."""
+    if flow == "schrodinger":
+        g = lambda e: g_schrodinger(e, omega, h)
+        lo, hi = window.support
+        gp = lambda e: (g(e + 1e-5) - g(e - 1e-5)) / 2e-5
+        pad = 0.25 * (gp(hi) - gp(lo))
+        return g, gp(lo) - pad, gp(hi) + pad
+    g = lambda e: g_wave(e, omega, h)
+    x_hi = (omega / 6.0) * window.support[0] ** (-2.0 / 3.0) * 1.8 + 0.3
+    return g, 1.0 - 0.6 * h ** (2.0 / 3.0), 1.0 + x_hi * h ** (2.0 / 3.0)
+
+
+@pytest.mark.parametrize("flow", ["schrodinger", "wave"])
+@pytest.mark.parametrize("window", [FrequencyWindow(), FrequencyWindow(1.0, 0.25, 0.5)])
+def test_fixed_rule_matches_oracle(flow, window):
+    omega9 = airy_zeros(10)[9]
+    for h in (1e-2, 1e-4):
+        g, z_lo, z_hi = _scan_span(flow, omega9, h, window)
+        for lam in (1.0, 2.0, 5.0, 20.0, 3000.0):
+            rule = oscillatory._FixedRule(g, window, lam, z_lo, z_hi, 1e-12)
+            zs = np.linspace(z_lo, z_hi, 5)
+            fixed = rule(zs)
+            for z, val in zip(zs, fixed):
+                prob = OscillatoryProblem(lambda e: z * e - g(e), window, lam, window.support)
+                assert abs(val - quad_oscillatory(prob, 1e-12)) <= 1e-12, (h, lam, z)
+
+
+class _HoleWindow(FrequencyWindow):
+    """A window with a NaN hole that the phase-slope probe does not see."""
+
+    def __call__(self, eta):
+        return np.where(np.abs(np.asarray(eta) - 1.01) < 0.01, np.nan, super().__call__(eta))
+
+
+def test_fixed_rule_rejects_non_finite_samples():
+    window = FrequencyWindow()
+    g = lambda e: np.where(e > 1.05, np.nan, e**2)
+    with pytest.raises(ValueError, match="not (finite|differentiable)"):
+        oscillatory._FixedRule(g, window, 50.0, 1.0, 3.0, 1e-9)
+    with pytest.raises(ValueError, match="not finite"):
+        gamma_schrodinger(make_params(1e-3, 0.1, 0.2), airy_zeros(1)[0], 2, [50.0],
+                          window=_HoleWindow())
+    with pytest.raises(ValueError, match="large_param"):
+        oscillatory._FixedRule(lambda e: e**2, window, 0.5, 1.0, 3.0, 1e-9)
+    with pytest.raises(ValueError, match="tol"):
+        oscillatory._FixedRule(lambda e: e**2, window, 50.0, 1.0, 3.0, 1e-2)
+
+
+def test_fixed_rule_panel_budget():
+    params = make_params(1e-3, 0.1, 0.2)
+    with pytest.raises(QuadratureError, match="panels"):
+        gamma_schrodinger(params, airy_zeros(1)[0], 2, [1e6])
+
+
+def test_under_resolved_rule_fails_oracle_check(monkeypatch):
+    monkeypatch.setattr(oscillatory, "_RULE_PHASE_CAP", 400.0)
+    params = make_params(1e-2, 0.1, 0.2)
+    with pytest.raises(QuadratureError, match="oracle"):
+        # only the largest lambda is under-resolved, and it is the one checked
+        gamma_wave(params, airy_zeros(10)[9], 2, [30.0, 3000.0],
+                   window=FrequencyWindow(1.0, 0.25, 0.5), tol=1e-8)
+
+
+def test_oracle_diff_in_curve_and_pooled_meta():
+    omega9 = airy_zeros(10)[9]
+    window = FrequencyWindow(1.0, 0.25, 0.5)
+    curves = [gamma_schrodinger(make_params(h, 0.1, 0.2), omega9, 2, [60.0, 600.0],
+                                window=window, tol=1e-8)
+              for h in (1e-2, 1e-3)]
+    diffs = [c.meta["oracle_diff"] for c in curves]
+    assert all(0.0 <= d <= 1e-8 for d in diffs)
+    assert pool_curves(curves).meta["oracle_diff"] == max(diffs)
