@@ -239,6 +239,7 @@ def ai(z):
 
 
 _LOOKUP_BLOCK = 8192  # points per table-lookup block: keeps its gathers and temporaries in cache
+_TABLE_STEP = 1.0 / 256.0  # nominal node spacing of an AiryTable
 
 
 def cubic_coefficients(f) -> np.ndarray:
@@ -289,11 +290,11 @@ class AiryTable:
     evaluators (the grid oversamples the local Airy oscillation ~80x).
     """
 
-    def __init__(self, lo: float, hi: float, step: float = 1.0 / 256.0):
-        pad = 4 * step
+    def __init__(self, lo: float, hi: float):
+        pad = 4 * _TABLE_STEP
         self.lo = lo - pad
         self.hi = hi + pad
-        n = int(math.ceil((self.hi - self.lo) / step)) + 4
+        n = int(math.ceil((self.hi - self.lo) / _TABLE_STEP)) + 4
         self.step = (self.hi - self.lo) / (n - 1)
         self.grid = self.lo + self.step * np.arange(n)
         self.values = ai(self.grid)
@@ -417,18 +418,17 @@ def airy_branch(z, sign: int, terms: int = 3):
     return val.reshape(arr.shape)
 
 
-def calibrate_branch_leading(z_grid=None, terms: int = 5) -> dict:
-    """Fit the branch leading constant against ai on a grid; report both values.
+def calibrate_branch_leading() -> dict:
+    """Fit the branch leading constant against ai on z in [9, 40]; report both values.
 
     The classical envelope gives 1/(2 sqrt(pi)); an alternative printed
     constant 1/(4 pi^{3/2}) disagrees by a factor 2 pi.  Only relative
     scalings enter downstream tests, so the constant is fixed by this fit and
     recorded in the expansion metadata.
     """
-    if z_grid is None:
-        z_grid = np.linspace(9.0, 40.0, 141)
+    z_grid = np.linspace(9.0, 40.0, 141)
     big_x = (2.0 / 3.0) * z_grid**1.5
-    s_plus = _branch_series(big_x, terms=terms)
+    s_plus = _branch_series(big_x, terms=5)
     unit = 2.0 * z_grid**-0.25 * np.real(np.exp(-1j * (big_x - 0.25 * math.pi)) * s_plus)
     target = ai(-z_grid)
     fitted = float(np.dot(unit, target) / np.dot(unit, unit))

@@ -36,6 +36,10 @@ _NUMERIC_ERRORS = (ParameterError, AiryError, QuadratureError, GridCoverageError
                    GalleryError, CuspError, NormError, ValueError)
 
 
+class _UsageError(Exception):
+    """Configuration that names no work to do; exits with USAGE_EXIT."""
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".12g")
@@ -104,6 +108,8 @@ def _h_grid(cfg) -> list[float]:
     h_min = float(cfg.get("h_min", 1e-4))
     h_max = float(cfg.get("h_max", 1e-2))
     steps = int(cfg.get("h_steps", 3))
+    if steps < 1:
+        raise _UsageError(f"h_steps must be >= 1, got {steps}")
     if steps == 1:
         return [h_max]
     return list(np.geomspace(h_max, h_min, steps))
@@ -139,6 +145,7 @@ def cmd_dispersion(args) -> int:
     if lam_steps < 1 or lam_max <= lam_min:
         print("error: empty lambda range", file=sys.stderr)
         return USAGE_EXIT
+    h_list = _h_grid(cfg)
     epsilon = float(cfg.get("epsilon", 0.1))
     k_mode = int(cfg.get("k", 9))
     window = FrequencyWindow(1.0, float(cfg.get("win_inner", 0.25)), float(cfg.get("win_outer", 0.5)))
@@ -156,7 +163,7 @@ def cmd_dispersion(args) -> int:
         return scan(make_params(h, epsilon, 0.2), omega, 2, lam_grid, window=window, seed=seed)
 
     with manifest.time("scan"):
-        curves = parallel_map(one, _h_grid(cfg), threads)
+        curves = parallel_map(one, h_list, threads)
         pooled = pool_curves(curves)
         if flow == "wave":
             pooled.fit(mu_min=float(cfg.get("mu_min", 12.0)))
@@ -187,10 +194,10 @@ def cmd_gallery(args) -> int:
         q = float(cfg["q"])
     else:
         q = float(sharp_schrodinger_q(r) if flow == "schrodinger" else sharp_wave_q(r))
+    h_list = _h_grid(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(cfg, int(cfg.get("seed", 0)))
-    h_list = _h_grid(cfg)
     with manifest.time("quotients"):
         res = strichartz_quotient(flow, data, q, r, (0.0, float(cfg.get("t_max", 0.3))),
                                   h_list, k=k_mode, n_t=int(cfg.get("t_steps", 25)))
@@ -302,14 +309,13 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="convexwave",
                                      description="dispersive scaling laboratory for a model convex domain")
-    parser.add_argument("--config", help="JSON config file with per-command sections")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, help="worker pool size")
         p.add_argument("--seed", type=int, help="seed (grid jitter only)")
-        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--config", help="JSON config file with per-command sections")
 
     p = sub.add_parser("airy", help="write the Airy zero table")
     common(p)
@@ -377,6 +383,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT

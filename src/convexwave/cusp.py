@@ -183,6 +183,11 @@ class ReflectionKernel:
         return mult
 
 
+# Both are frozen: one instance serves every symbol, evaluator and trace.
+_KERNEL = ReflectionKernel()
+_WINDOW = FrequencyWindow()
+
+
 # ---------------------------------------------------------------------------
 # symbols
 
@@ -206,12 +211,13 @@ class CuspSymbol:
     def dz(self) -> float:
         return float(self.z[1] - self.z[0])
 
-    def tail_fraction(self, pad: float = 0.2) -> float:
+    def tail_fraction(self) -> float:
+        """Share of |values| beyond 0.2 past the essential half-width."""
         mass = np.abs(self.values)
         total = float(mass.sum())
         if total == 0.0:
             return 0.0
-        inside = np.abs(self.z - self.support_center) <= self.halfwidth + pad
+        inside = np.abs(self.z - self.support_center) <= self.halfwidth + 0.2
         return float(mass[~inside].sum() / total)
 
     def validate(self, reference_bounds=None, slack: float = 1.0, check_tail: bool = True):
@@ -255,31 +261,29 @@ def symbol_sigma(c0: float) -> float:
     return 0.475 * (c0 + 0.2)
 
 
-def symbol_grid(params: SemiclassicalParams, points_per_scale: int = 8,
-                xi_rate: float | None = None) -> tuple[int, float]:
+def symbol_grid(params: SemiclassicalParams) -> tuple[int, float]:
     """(n_z, z_max) resolving both the mollifier scale and the field's xi-quadrature.
 
     The spectral step 2 pi / (2 z_max) must resolve the xi-oscillation of the
-    Airy-reduction integrand, whose rate is |w| + beta sqrt(T); ``xi_rate``
-    overrides the computed bound.
+    Airy-reduction integrand, whose rate is |w| + beta sqrt(T); the z-step
+    puts 8 points on the mollifier scale 1/lambda.
     """
     lam, h, a = params.lam, params.h, params.a
-    if xi_rate is None:
-        sigma = symbol_sigma(params.c0)
-        xi_cut = 7.8 / sigma
-        alpha_a = a * (1.25 / h) ** (2.0 / 3.0)
-        beta = (h / 0.78) ** (1.0 / 3.0) / math.sqrt(a)
-        t_max = alpha_a * 1.4 + beta * xi_cut
-        xi_rate = 1.55 + beta * math.sqrt(max(t_max, 1.0))
+    sigma = symbol_sigma(params.c0)
+    xi_cut = 7.8 / sigma
+    alpha_a = a * (1.25 / h) ** (2.0 / 3.0)
+    beta = (h / 0.78) ** (1.0 / 3.0) / math.sqrt(a)
+    t_max = alpha_a * 1.4 + beta * xi_cut
+    xi_rate = 1.55 + beta * math.sqrt(max(t_max, 1.0))
     dxi = 1.5 / xi_rate
     z_max = max(6.0, math.pi / dxi)
-    dz = min(1.0 / (points_per_scale * lam), symbol_sigma(params.c0) / 10.0)
+    dz = min(1.0 / (8 * lam), sigma / 10.0)
     n = int(2 ** math.ceil(math.log2(2.0 * z_max / dz)))
     return min(n, 1 << 18), z_max
 
 
 def make_symbol(support, params: SemiclassicalParams, *, n_points: int | None = None,
-                z_max: float | None = None, profile=None, center: int = 0) -> CuspSymbol:
+                z_max: float | None = None, profile=None) -> CuspSymbol:
     """Mollified symbol on the grid: Gaussian-core profile convolved with k_lam.
 
     The profile is essentially supported in [-c0, c0] with tails below the 5%
@@ -301,7 +305,7 @@ def make_symbol(support, params: SemiclassicalParams, *, n_points: int | None = 
         raise CuspError(f"grid too coarse: dz = {dz:.3e} > 1/(8 lambda) = {1/(8*lam):.3e}")
     if profile is None:
         sigma = symbol_sigma(c0)
-        tilde = np.exp(-((z - center) ** 2) / (2.0 * sigma**2))
+        tilde = np.exp(-(z**2) / (2.0 * sigma**2))
     else:
         tilde = np.asarray(profile(z), dtype=float)
     moll = _mollifier_samples(z, lam)
@@ -310,7 +314,7 @@ def make_symbol(support, params: SemiclassicalParams, *, n_points: int | None = 
     spectrum = dz * np.exp(-1j * z[0] * xi) * np.fft.fft(vals)
     sym = CuspSymbol(
         z=z, values=vals.astype(complex), xi=xi, spectrum=spectrum,
-        support_center=center, halfwidth=c0, mollifier_scale=lam,
+        support_center=0, halfwidth=c0, mollifier_scale=lam,
         deriv_bounds=_deriv_bounds(vals, dz),
     )
     if float(np.abs(vals).max(initial=0.0)) > 0.0:
@@ -318,9 +322,7 @@ def make_symbol(support, params: SemiclassicalParams, *, n_points: int | None = 
     return sym
 
 
-def iterate_symbol(rho0: CuspSymbol, n: int, eta: float, params: SemiclassicalParams,
-                   kernel: ReflectionKernel | None = None,
-                   window: FrequencyWindow | None = None) -> CuspSymbol:
+def iterate_symbol(rho0: CuspSymbol, n: int, eta: float, params: SemiclassicalParams) -> CuspSymbol:
     """n-fold reflected symbol at frequency eta, computed spectrally.
 
     rhohat^n(xi) = (-1)^n [c(xi/(eta lam), eta lam)]^n e^{i n eta lam f(...)}
@@ -328,19 +330,17 @@ def iterate_symbol(rho0: CuspSymbol, n: int, eta: float, params: SemiclassicalPa
     stationary-phase regime); the result is revalidated against the base
     symbol's bounds with a factor-4 slack.
     """
-    kernel = kernel or ReflectionKernel()
-    window = window or FrequencyWindow()
     if n < 0 or n > params.n_reflections:
         raise CuspError(f"need 0 <= n <= N = {params.n_reflections}, got n = {n}")
     lam = params.lam
-    psi = float(window(np.array([eta]))[0])
+    psi = float(_WINDOW(np.array([eta]))[0])
     if n == 0:
         return replace(rho0, values=psi * rho0.values, spectrum=psi * rho0.spectrum,
                        eta=eta, order=0)
     omega = eta * lam
     if omega / n < 4.0:
         raise CuspError(f"eta lam / n = {omega/n:.2f} < 4: reflection regime violated")
-    spectrum = psi * kernel.reflection_multiplier(rho0.xi / omega, omega, n) * rho0.spectrum
+    spectrum = psi * _KERNEL.reflection_multiplier(rho0.xi / omega, omega, n) * rho0.spectrum
     dz = rho0.dz
     values = np.fft.ifft(spectrum * np.exp(1j * rho0.z[0] * rho0.xi)) / dz
     out = replace(rho0, values=values, spectrum=spectrum, eta=eta, order=n)
@@ -403,6 +403,10 @@ class _YAssembly:
         return padded
 
 
+_KEEP_TOL = 1e-13  # symbol spectrum below this share of its peak sets the xi cut
+_X_CHUNK = 80  # x-rows per tensor chunk
+
+
 class CuspEvaluator:
     """Cached spectral tables for evaluating one reflected cusp at many times.
 
@@ -417,14 +421,10 @@ class CuspEvaluator:
     """
 
     def __init__(self, params: SemiclassicalParams, n: int, *, symbol: CuspSymbol | None = None,
-                 kernel: ReflectionKernel | None = None, window: FrequencyWindow | None = None,
                  x: np.ndarray | None = None, n_x: int = 320, n_eta: int = 160,
-                 n_eta_dense: int = 1024, n_fft: int = 4096, second_deriv: bool = False,
-                 keep_tol: float = 1e-13, x_chunk: int = 80):
+                 n_eta_dense: int = 1024, n_fft: int = 4096, second_deriv: bool = False):
         self.params = params
         self.n = int(n)
-        self.kernel = kernel or ReflectionKernel()
-        self.window = window or FrequencyWindow()
         self.second_deriv = second_deriv
         if symbol is None:
             symbol = make_symbol((-params.c0, params.c0), params)
@@ -434,7 +434,7 @@ class CuspEvaluator:
             x = np.linspace(0.0, 2.0 * a, n_x)
         self.x = np.asarray(x, dtype=float)
 
-        lo, hi = self.window.support
+        lo, hi = _WINDOW.support
         self.eta = np.linspace(lo, hi, n_eta)
         self.eta_dense = np.linspace(lo, hi, n_eta_dense)
         self.n_fft = int(n_fft)
@@ -444,9 +444,9 @@ class CuspEvaluator:
         self._interp = np.ascontiguousarray((interp * (self._y.signs * self._y.deta)[:, None]).T)
 
         spec = symbol.spectrum
-        above = np.abs(spec) > keep_tol * np.abs(spec).max()
+        above = np.abs(spec) > _KEEP_TOL * np.abs(spec).max()
         xi_keep = float(np.abs(symbol.xi[above]).max()) if np.any(above) else 0.0
-        # spectral-truncation audit: mass dropped by the keep_tol cut must stay tiny
+        # spectral-truncation audit: mass dropped by the _KEEP_TOL cut must stay tiny
         outside = np.abs(symbol.xi) > xi_keep
         dropped = np.abs(spec[outside]).sum() / max(np.abs(spec).sum(), 1e-300)
         if dropped > 1e-3:
@@ -454,7 +454,7 @@ class CuspEvaluator:
         xi_cut = xi_keep
         if self.n > 0:
             # the reflection cutoff kills |zeta| >= 2c at every eta in the window
-            xi_cut = min(xi_cut, 2.0 * self.kernel.chi_flat * hi * lam)
+            xi_cut = min(xi_cut, 2.0 * _KERNEL.chi_flat * hi * lam)
         keep = np.abs(symbol.xi) <= xi_cut
         order = np.argsort(symbol.xi[keep])
         self.xi = symbol.xi[keep][order]
@@ -463,8 +463,8 @@ class CuspEvaluator:
             raise CuspError(f"eta lam / n < 4 across the window for n = {self.n}")
 
         omega = np.outer(self.eta, np.ones_like(self.xi)) * lam
-        mult = self.kernel.reflection_multiplier(self.xi[None, :] / omega, omega, self.n)
-        weights = self.window(self.eta)[:, None] * mult * base_spec[None, :]
+        mult = _KERNEL.reflection_multiplier(self.xi[None, :] / omega, omega, self.n)
+        weights = _WINDOW(self.eta)[:, None] * mult * base_spec[None, :]
         if second_deriv:
             weights = weights * (1j * self.xi[None, :]) ** 2 * (h**-params.delta / (4.0 * (1.0 + a)))
         dxi = float(self.xi[1] - self.xi[0]) if self.xi.size > 1 else 1.0
@@ -477,8 +477,8 @@ class CuspEvaluator:
         self._table = AiryTable(min(args_lo, -5.0) - 2.0, max(args_hi, 5.0) + 2.0)
 
         self._chunks = []
-        for i0 in range(0, self.x.size, x_chunk):
-            xs = self.x[i0 : i0 + x_chunk]
+        for i0 in range(0, self.x.size, _X_CHUNK):
+            xs = self.x[i0 : i0 + _X_CHUNK]
             arg = alpha[None, :, None] * (xs[:, None, None] - a) + beta[None, :, None] * self.xi[None, None, :]
             self._chunks.append(self._table(arg) * weights)
 
@@ -543,19 +543,15 @@ class TraceEvaluator:
     """Spectral evaluation of Tr_{sign}(u^n) on y-offset grids, reusable over t."""
 
     def __init__(self, params: SemiclassicalParams, n: int, sign: int, *,
-                 symbol: CuspSymbol | None = None, kernel: ReflectionKernel | None = None,
-                 window: FrequencyWindow | None = None, n_eta: int = 768,
-                 n_fft: int = 4096, clip_tol: float = 0.01):
+                 symbol: CuspSymbol | None = None, n_eta: int = 768, n_fft: int = 4096):
         if sign not in (+1, -1):
             raise CuspError("sign must be +1 or -1")
         self.params, self.n, self.sign = params, int(n), sign
-        self.kernel = kernel or ReflectionKernel()
-        self.window = window or FrequencyWindow()
         if symbol is None:
             symbol = make_symbol((-params.c0, params.c0), params)
         self.symbol = symbol
         lam, h = params.lam, params.h
-        lo, hi = self.window.support
+        lo, hi = _WINDOW.support
         self.eta = np.linspace(lo, hi, n_eta)
         self.n_fft = n_fft
         self._y = _YAssembly(self.eta, h, n_fft)
@@ -570,23 +566,23 @@ class TraceEvaluator:
 
         omega = np.outer(self.eta * lam, np.ones_like(self.xi))
         zeta = self.xi[None, :] / omega
-        inside = np.abs(zeta) < 2.0 * self.kernel.chi_flat
+        inside = np.abs(zeta) < 2.0 * _KERNEL.chi_flat
         # clipping audit: |rhohat| mass at |zeta| > c is lost by the cutoff
         mass = np.abs(base)[None, :] * np.ones_like(omega)
         total_mass = float(mass.sum())
         clipped = 0.0 if total_mass == 0.0 else float(
-            (mass * (np.abs(zeta) > self.kernel.chi_flat)).sum() / total_mass
+            (mass * (np.abs(zeta) > _KERNEL.chi_flat)).sum() / total_mass
         )
-        if clipped > clip_tol:
+        if clipped > 0.01:
             raise CuspError(
-                f"chi cutoff clips {clipped:.2%} > {clip_tol:.0%} of |rhohat| mass: "
+                f"chi cutoff clips {clipped:.2%} > 1% of |rhohat| mass: "
                 "symbol insufficiently localized for this lambda"
             )
-        refl = self.kernel.reflection_multiplier(zeta, omega, self.n)
+        refl = _KERNEL.reflection_multiplier(zeta, omega, self.n)
         tr = np.zeros_like(omega, dtype=complex)
-        tr[inside] = self.kernel.trace_multiplier(zeta[inside], omega[inside], sign)
+        tr[inside] = _KERNEL.trace_multiplier(zeta[inside], omega[inside], sign)
         dxi = float(self.xi[1] - self.xi[0]) if self.xi.size > 1 else 1.0
-        pref = 2.0 * math.pi * math.sqrt(params.a / lam) * self.window(self.eta) / np.sqrt(self.eta)
+        pref = 2.0 * math.pi * math.sqrt(params.a / lam) * _WINDOW(self.eta) / np.sqrt(self.eta)
         self._weights = pref[:, None] * tr * refl * base[None, :] * (dxi / (2.0 * math.pi))
         self._weights *= self._y.signs[:, None]
 
@@ -614,16 +610,16 @@ def trace(n: int, sign: int, t: float, params: SemiclassicalParams, **opts) -> T
     return TraceEvaluator(params, n, sign, **opts).signal(t)
 
 
-def _pair_sums(params: SemiclassicalParams, n: int, t_grid, **opts) -> tuple[float, float]:
+def _pair_sums(params: SemiclassicalParams, n: int, t_grid, symbol: CuspSymbol) -> tuple[float, float]:
     """(pair_sq, trace_sq): |Tr_-(u^n) + Tr_+(u^{n+1})|^2 and |Tr_-(u^n)|^2 summed over t_grid and y.
 
-    Both traces share the carrier center exactly; ``opts`` go to both
-    :class:`TraceEvaluator` instances, which are not built for an empty t_grid.
+    Both traces share the carrier center exactly; neither
+    :class:`TraceEvaluator` is built for an empty t_grid.
     """
     if len(t_grid) == 0:
         return 0.0, 0.0
-    tr_m = TraceEvaluator(params, n, -1, **opts)
-    tr_p = TraceEvaluator(params, n + 1, +1, **opts)
+    tr_m = TraceEvaluator(params, n, -1, symbol=symbol)
+    tr_p = TraceEvaluator(params, n + 1, +1, symbol=symbol)
     pair_sq = 0.0
     trace_sq = 0.0
     for t in t_grid:
@@ -635,12 +631,12 @@ def _pair_sums(params: SemiclassicalParams, n: int, t_grid, **opts) -> tuple[flo
     return pair_sq, trace_sq
 
 
-def boundary_residual(n: int, params: SemiclassicalParams, *, n_t: int = 24,
-                      symbol: CuspSymbol | None = None, **opts) -> float:
-    """|Tr_-(u^n) + Tr_+(u^{n+1})|_{L2(t,y)} / max(|Tr_-(u^n)|_{L2}, tiny).
+def boundary_residual(n: int, params: SemiclassicalParams, *,
+                      symbol: CuspSymbol | None = None) -> float:
+    """|Tr_-(u^n) + Tr_+(u^{n+1})|_{L2(t,y)} / max(|Tr_-(u^n)|_{L2}, tiny) over 24 times.
 
     The pair cancels up to the chi-tail of the symbol spectrum and the
-    branch-series truncation.  ``opts`` go to :class:`TraceEvaluator`.
+    branch-series truncation.
     """
     if n >= params.n_reflections:
         raise CuspError(f"need n < N = {params.n_reflections}")
@@ -650,24 +646,22 @@ def boundary_residual(n: int, params: SemiclassicalParams, *, n_t: int = 24,
         return 0.0
     a = params.a
     root = math.sqrt((1.0 + a) * a)
-    t_centers = (2.0 * n + 1.0 + np.linspace(-1.4, 1.4, n_t)) * 2.0 * root
-    num, den = _pair_sums(params, n, t_centers, symbol=symbol, **opts)
+    t_centers = (2.0 * n + 1.0 + np.linspace(-1.4, 1.4, 24)) * 2.0 * root
+    num, den = _pair_sums(params, n, t_centers, symbol)
     den = math.sqrt(den)
     if den < 1e-300:
         return 0.0
     return math.sqrt(num) / den
 
 
-def dirichlet_residual(params: SemiclassicalParams, *, n_t: int = 16,
-                       symbol: CuspSymbol | None = None, **opts) -> dict:
+def dirichlet_residual(params: SemiclassicalParams) -> dict:
     """Full boundary check over [0,1]: all trace pairs plus the two edge traces.
 
     Returns the summed-trace L2 over [0,1] x boundary relative to the largest
-    single-trace L2, window by window.  ``opts`` go to :class:`TraceEvaluator`.
+    single-trace L2, window by window, from 16 times per window.
     """
-    if symbol is None:
-        symbol = make_symbol((-params.c0, params.c0), params)
-    opts["symbol"] = symbol
+    symbol = make_symbol((-params.c0, params.c0), params)
+    n_t = 16
     a = params.a
     root = math.sqrt((1.0 + a) * a)
     big_n = params.n_reflections
@@ -676,7 +670,7 @@ def dirichlet_residual(params: SemiclassicalParams, *, n_t: int = 16,
     per_window = []
     for n in range(0, big_n):
         t_grid = (2.0 * n + 1.0 + np.linspace(-1.2, 1.2, n_t)) * 2.0 * root
-        w_sq, s_sq = _pair_sums(params, n, t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)], **opts)
+        w_sq, s_sq = _pair_sums(params, n, t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)], symbol)
         total_sq += w_sq
         scale_sq = max(scale_sq, s_sq)
         per_window.append({"n": n, "pair_l2": math.sqrt(w_sq), "trace_l2": math.sqrt(s_sq)})
@@ -687,11 +681,11 @@ def dirichlet_residual(params: SemiclassicalParams, *, n_t: int = 16,
         t_grid = t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)]
         if t_grid.size == 0:
             continue
-        ev = TraceEvaluator(params, n_edge, sign, **opts)
+        ev = TraceEvaluator(params, n_edge, sign, symbol=symbol)
         for t in t_grid:
             sig = ev.signal(t)
             dy = sig.y[1] - sig.y[0]
-            total_sq += float(np.sum(np.abs(sig.values) ** 2) * dy) * (2.4 * root / max(n_t, 1))
+            total_sq += float(np.sum(np.abs(sig.values) ** 2) * dy) * (2.4 * root / n_t)
     ratio = math.sqrt(total_sq) / max(math.sqrt(scale_sq), 1e-300)
     return {"ratio": ratio, "windows": per_window, "n_reflections": big_n}
 
@@ -701,62 +695,63 @@ def dirichlet_residual(params: SemiclassicalParams, *, n_t: int = 16,
 
 
 def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
-                   samples_per_sqrt_a: int = 12, t_end: float = 1.0,
-                   verify_disjointness: bool = True, **evaluator_opts) -> dict:
-    """|U_h|_{L^q([0, t_end], L^r)} with U_h assembled from its bracketing cusps.
+                   samples_per_sqrt_a: int = 12) -> dict:
+    """|U_h|_{L^q([0, 1], L^r)} with U_h assembled from its bracketing cusps.
 
     The time grid resolves the sqrt(a)-sized essential windows; at each t the
     sum U_h(t) reduces to the two reflections bracketing t (the others sit at
     symbol arguments |z - 2n| >= 2 and are measured negligible; one third-cusp
-    contamination check per run feeds the reliability flag).
+    contamination check per run feeds the reliability flag).  The times are
+    streamed in order and each evaluator is dropped once t has passed its
+    window, so at most two are alive at once.
     """
     a, c0 = params.a, params.c0
     root = math.sqrt((1.0 + a) * a)
     period = 4.0 * root
     big_n = params.n_reflections
-    n_t = int(math.ceil(samples_per_sqrt_a * t_end / root)) + 1
-    times = np.linspace(0.0, t_end, n_t)
+    n_t = int(math.ceil(samples_per_sqrt_a / root)) + 1
+    times = np.linspace(0.0, 1.0, n_t)
 
     symbol = make_symbol((-c0, c0), params)
     evaluators: dict[int, CuspEvaluator] = {}
 
     def get_ev(k: int) -> CuspEvaluator:
         if k not in evaluators:
-            evaluators[k] = CuspEvaluator(params, k, symbol=symbol, **evaluator_opts)
+            evaluators[k] = CuspEvaluator(params, k, symbol=symbol)
         return evaluators[k]
 
-    def two_cusp_norms(t: float, powers) -> list[float]:
-        k_lo = int(np.clip(math.floor(t / period), 0, big_n))
-        k_hi = min(k_lo + 1, big_n)
-        fld = get_ev(k_lo).field(t)
-        vals = fld.values
-        if k_hi != k_lo:
-            vals = vals + get_ev(k_hi).field(t, y_center=fld.meta["y_center"]).values
-        return [grid_lr_norm(vals, fld.x, fld.y, p) for p in powers]
-
-    inner = np.empty(n_t)
-    l2_initial = None
-    for i, t in enumerate(times):
-        if i == 0:
-            inner[i], l2_initial = two_cusp_norms(t, (r, 2))
-        else:
-            inner[i] = two_cusp_norms(t, (r,))[0]
-    lqlr = lqlr_norm(inner, float(q), r, times=times)
-
     checks = {}
-    reliable = True
-    if verify_disjointness and big_n >= 2:
-        k_chk = max(1, big_n // 2)
+    k_chk = big_n // 2 if big_n >= 2 else None  # the check needs cusps k_chk - 1 >= 0 and k_chk
+
+    def third_cusp_check():
         t_chk = (4.0 * k_chk + 2.0) * root  # gap apex between k_chk and k_chk+1
         fld = get_ev(k_chk).field(t_chk)
         third = get_ev(k_chk - 1).field(t_chk, y_center=fld.meta["y_center"])
         checks["third_cusp_fraction"] = lr_norm(third, r) / max(lr_norm(fld, r), 1e-300)
-        reliable = checks["third_cusp_fraction"] < 1e-3
 
+    inner = np.empty(n_t)
+    l2_initial = None
+    for i, t in enumerate(times):
+        k_lo = int(np.clip(math.floor(t / period), 0, big_n))
+        k_hi = min(k_lo + 1, big_n)
+        if k_lo == k_chk and not checks:
+            third_cusp_check()  # while evaluator k_chk - 1 is still alive
+        for done in [k for k in evaluators if k < k_lo]:
+            del evaluators[done]
+        fld = get_ev(k_lo).field(t)
+        vals = fld.values
+        if k_hi != k_lo:
+            vals = vals + get_ev(k_hi).field(t, y_center=fld.meta["y_center"]).values
+        inner[i] = grid_lr_norm(vals, fld.x, fld.y, r)
+        if i == 0:
+            l2_initial = grid_lr_norm(vals, fld.x, fld.y, 2)
+    lqlr = lqlr_norm(inner, float(q), r, times=times)
+    if k_chk is not None and not checks:
+        third_cusp_check()  # the time grid stepped over k_chk's window
     return {
         "lqlr": lqlr,
         "l2_initial": l2_initial,
         "n_time_samples": n_t,
         "checks": checks,
-        "reliable": reliable,
+        "reliable": checks.get("third_cusp_fraction", 0.0) < 1e-3,
     }

@@ -108,64 +108,82 @@ def make_mode_spec(k: int, h: float, envelope: np.ndarray, grid: TransverseGrid,
                            envelope_spectrum=spectrum, window=window)
 
 
-def default_x_grid(spec: GalleryModeSpec, n_x: int = 160, depth: float = 4.0) -> np.ndarray:
-    """x-grid [0, X] with X = (depth*omega_k + 8) h^{2/3}, resolving the Airy layer."""
-    x_max = (depth * spec.omega_k + 8.0) * spec.h ** (2.0 / 3.0)
+def default_x_grid(spec: GalleryModeSpec, n_x: int = 160) -> np.ndarray:
+    """x-grid [0, X] with X = (4 omega_k + 8) h^{2/3}, resolving the Airy layer."""
+    x_max = (4.0 * spec.omega_k + 8.0) * spec.h ** (2.0 / 3.0)
     return np.linspace(0.0, x_max, n_x)
 
 
-def _mode_args(spec: GalleryModeSpec, x: np.ndarray) -> np.ndarray:
-    """Airy arguments |eta|^{2/3} x / h^{2/3} - omega_k on the full eta grid, shape (nx, n_eta)."""
-    aeta = np.abs(spec.grid.eta)
-    return aeta[None, :] ** (2.0 / 3.0) * x[:, None] / spec.h ** (2.0 / 3.0) - spec.omega_k
+_ACTIVE_TOL = 1e-13  # eta columns below this share of the spectrum's peak are dropped
+_TAIL_TOL = 0.01  # largest share of the L2 mass allowed beyond 0.9 X
+_WINDOW = FrequencyWindow()
 
 
-def gallery_mode(spec: GalleryModeSpec, x: np.ndarray | None = None, *, t: float = 0.0,
-                 tail_tol: float = 0.01) -> WaveField:
-    """Sample the mode u(x, y) row by row: windowed spectrum times Airy factor, inverse FFT.
+class _ModeSynthesis:
+    """The mode's (x, y) samples under any transverse multiplier, from one Airy fill.
+
+    Built once per (spec, x): the x-grid must reach past the Airy turning
+    point (X >= 3 omega_k h^{2/3}).  Only the eta columns where the windowed
+    spectrum exceeds 1e-13 of its peak are kept; on them the rows
+    Ai(|eta|^{2/3} x / h^{2/3} - omega_k) * spectrum and the grid phase are
+    stored.  Each call multiplies the rows by (mult * phase), checks the share
+    of L2 mass beyond 0.9 X by Parseval on those columns, zero-fills the
+    others and runs one inverse FFT along y.
+    """
+
+    def __init__(self, spec: GalleryModeSpec, x: np.ndarray | None = None):
+        if x is None:
+            x = default_x_grid(spec)
+        turning = 3.0 * spec.omega_k * spec.h ** (2.0 / 3.0)
+        if x[-1] < turning:
+            raise GalleryError(f"x-grid too short: X = {x[-1]:.3g} < 3 omega_k h^(2/3) = {turning:.3g}")
+        self.x, self.grid = x, spec.grid
+        spectrum = spec.windowed_spectrum
+        mod = np.abs(spectrum)
+        self.active = mod > _ACTIVE_TOL * (mod.max() or 1.0)
+        self.eta = self.grid.eta[self.active]
+        args = np.abs(self.eta)[None, :] ** (2.0 / 3.0) * x[:, None] / spec.h ** (2.0 / 3.0) - spec.omega_k
+        self.rows = ai(args.ravel()).reshape(args.shape) * spectrum[self.active][None, :]
+        self.phase = np.exp(1j * self.grid.y[0] * self.grid.xi[self.active])
+        self._wx = trapezoid_weights(x)
+        self._beyond = x > 0.9 * x[-1]
+        self.x_tail_fraction = 0.0  # largest tail share over all calls so far
+
+    def __call__(self, mult) -> np.ndarray:
+        """Samples (x, y) of the mode with ``mult`` (scalar or one per active eta) applied."""
+        cols = self.rows * (mult * self.phase)[None, :]
+        power = (np.abs(cols) ** 2).sum(axis=1)  # y-mass of each x-row, up to a constant
+        total = float(power @ self._wx)
+        tail = float(power[self._beyond] @ self._wx[self._beyond]) / total if total else 0.0
+        self.x_tail_fraction = max(self.x_tail_fraction, tail)
+        if tail > _TAIL_TOL:
+            raise GalleryError(f"x-grid too short: tail mass fraction {tail:.2e} beyond 0.9 X")
+        full = np.zeros((self.x.size, self.grid.y.size), dtype=complex)
+        full[:, self.active] = cols
+        return np.fft.ifft(full, axis=1) / self.grid.dy
+
+
+def gallery_mode(spec: GalleryModeSpec, x: np.ndarray | None = None) -> WaveField:
+    """Sample the mode u(x, y): windowed spectrum times Airy factor, inverse FFT.
 
     The x-grid must reach past the Airy turning point (X >= 3 omega_k h^{2/3});
-    a measured tail-mass fraction above ``tail_tol`` is an error.
+    more than 1% of the L2 mass beyond 0.9 X is an error.
     """
-    if x is None:
-        x = default_x_grid(spec)
-    if x[-1] < 3.0 * spec.omega_k * spec.h ** (2.0 / 3.0):
-        raise GalleryError(
-            f"x-grid too short: X = {x[-1]:.3g} < 3 omega_k h^(2/3) = {3*spec.omega_k*spec.h**(2/3):.3g}"
-        )
-    spectrum = spec.windowed_spectrum
-    active = np.abs(spectrum) > 1e-14 * (np.abs(spectrum).max() or 1.0)
-    rows = np.zeros((x.size, spec.grid.y.size), dtype=complex)
-    if np.any(active):
-        arg = _mode_args(spec, x)[:, active]
-        airy_fac = ai(arg.ravel()).reshape(arg.shape)
-        spec_rows = np.zeros((x.size, spec.grid.y.size), dtype=complex)
-        spec_rows[:, active] = airy_fac * spectrum[active][None, :]
-        rows = spec.grid.ifft(spec_rows)
-    fld = WaveField(values=rows, x=x, y=spec.grid.y, h=spec.h, t=t)
-    tail = fld.x_mass_fraction_beyond(0.9 * x[-1])
-    if tail > tail_tol:
-        raise GalleryError(f"x-grid too short: tail mass fraction {tail:.2e} beyond 0.9 X")
-    return fld
+    synth = _ModeSynthesis(spec, x)
+    return WaveField(values=synth(1.0), x=synth.x, y=spec.grid.y, h=spec.h, t=0.0)
 
 
-def evolve(spec: GalleryModeSpec, flow: TransverseFlow, t: float,
-           x: np.ndarray | None = None, t_max_warn: float = 1.0) -> WaveField:
+def evolve(spec: GalleryModeSpec, flow: TransverseFlow, t: float) -> WaveField:
     """Mode at time t: spectrum multiplied by the flow's multiplier, then reassembled."""
-    if not 0.0 <= t <= t_max_warn:
-        warnings.warn(f"t = {t} outside [0, {t_max_warn}]; evolution is exact but unvalidated there")
-    evolved = GalleryModeSpec(
-        k=spec.k, omega_k=spec.omega_k, h=spec.h, grid=spec.grid,
-        envelope_spectrum=spec.envelope_spectrum * flow.multiplier(t, spec.grid.eta),
-        window=spec.window,
-    )
-    fld = gallery_mode(evolved, x=x, t=t)
-    return fld
+    if not 0.0 <= t <= 1.0:
+        warnings.warn(f"t = {t} outside [0, 1]; evolution is exact but unvalidated there")
+    synth = _ModeSynthesis(spec)
+    return WaveField(values=synth(flow.multiplier(t, synth.eta)), x=synth.x, y=spec.grid.y,
+                     h=spec.h, t=t)
 
 
 def norm_equivalence(k: int, h: float, envelope: np.ndarray, grid: TransverseGrid, r,
-                     windows: tuple[FrequencyWindow, FrequencyWindow, FrequencyWindow] | None = None,
-                     x: np.ndarray | None = None) -> dict:
+                     windows: tuple[FrequencyWindow, FrequencyWindow, FrequencyWindow] | None = None) -> dict:
     """Sandwich ratios of the h^{-2/(3r)}-normalized mode norm between envelope norms.
 
     With nested windows psi1 < psi < psi2 (each equal to 1 on the support of
@@ -185,7 +203,7 @@ def norm_equivalence(k: int, h: float, envelope: np.ndarray, grid: TransverseGri
     if float(np.abs(spectrum).max(initial=0.0)) == 0.0:
         raise GalleryError("zero envelope: ratios undefined")
     spec = make_mode_spec(k, h, envelope, grid, window=psi)
-    u = gallery_mode(spec, x=x)
+    u = gallery_mode(spec)
     middle = h ** (-2.0 / (3.0 * r)) * lr_norm(u, r) if r != math.inf else lr_norm(u, r)
     wy = trapezoid_weights(grid.y)
 
@@ -203,17 +221,15 @@ def norm_equivalence(k: int, h: float, envelope: np.ndarray, grid: TransverseGri
             "middle": middle, "left": left, "right": right}
 
 
-def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float,
-                    n_t: int, window: FrequencyWindow, n_x: int) -> dict:
-    omega = airy_zeros(k + 1)[k]
+def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float, n_t: int) -> dict:
     t0, t1 = t_window
     # spatial window wide enough for the transported packet plus spreading
     if flow_kind == "schrodinger":
-        speed = 2.0 + 2.0 * window.outer_halfwidth
+        speed = 2.0 + 2.0 * _WINDOW.outer_halfwidth
         y_lo, y_hi = -0.8, speed * t1 + 0.8
     else:
         y_lo, y_hi = -(t1 + 0.9), t1 + 0.9
-    grid = make_transverse_grid(h, y_lo, y_hi, eta_max=window.center + window.outer_halfwidth + 0.1,
+    grid = make_transverse_grid(h, y_lo, y_hi, eta_max=_WINDOW.center + _WINDOW.outer_halfwidth + 0.1,
                                 oversample=1.6)
     if data == "coherent":
         envelope = coherent_state(1.0, h, grid)
@@ -221,56 +237,40 @@ def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float,
         envelope = np.exp(1j * grid.y / h - grid.y**2 / 2.0)
     else:
         raise GalleryError(f"unknown data kind {data!r}")
-    spec = make_mode_spec(k, h, envelope, grid, window=window)
-    flow = TransverseFlow(kind=flow_kind, omega=omega, h=h)
-    x = default_x_grid(spec, n_x=n_x)
-
-    arg = _mode_args(spec, x)
-    base = spec.windowed_spectrum
-    active = np.abs(base) > 1e-13 * np.abs(base).max()
-    airy_fac = ai(arg[:, active].ravel()).reshape((x.size, int(active.sum())))
-    eta_act = grid.eta[active]
-    rows_act = airy_fac * base[active][None, :]
-
-    xi_act = grid.xi[active]
-    phase0 = np.exp(1j * grid.y[0] * xi_act)
+    spec = make_mode_spec(k, h, envelope, grid, window=_WINDOW)
+    flow = TransverseFlow(kind=flow_kind, omega=spec.omega_k, h=h)
+    synth = _ModeSynthesis(spec, default_x_grid(spec, n_x=120))
 
     times = np.linspace(t0, t1, n_t)
     inner = np.empty(n_t)
     l2_0 = None
-    n_grid = grid.y.size
     for it, t in enumerate(times):
-        mult = flow.multiplier(t, eta_act)
-        spec_rows = np.zeros((x.size, n_grid), dtype=complex)
-        spec_rows[:, active] = rows_act * (mult * phase0)[None, :]
-        vals = np.fft.ifft(spec_rows, axis=1) / grid.dy
-        inner[it] = grid_lr_norm(vals, x, grid.y, r)
+        vals = synth(flow.multiplier(t, synth.eta))
+        inner[it] = grid_lr_norm(vals, synth.x, grid.y, r)
         if it == 0:
-            l2_0 = grid_lr_norm(vals, x, grid.y, 2)
+            l2_0 = grid_lr_norm(vals, synth.x, grid.y, 2)
     lqlr = lqlr_norm(inner, q, r, times=times)
     return {"h": h, "lqlr": lqlr, "l2_initial": l2_0, "quotient": lqlr / l2_0,
-            "n_y": grid.y.size, "n_x": x.size}
+            "n_y": grid.y.size, "n_x": synth.x.size, "x_tail_fraction": synth.x_tail_fraction}
 
 
 def strichartz_quotient(flow_kind: str, data: str, q, r, t_window, h_list, *, k: int = 0,
-                        n_t: int = 25, window: FrequencyWindow | None = None,
-                        n_x: int = 120) -> NormScanResult:
+                        n_t: int = 25) -> NormScanResult:
     """Scan |u|_{Lq Lr} / |u(0)|_{L2} over h and fit the exponent.
 
     ``data`` is 'coherent' (the optimality packet) or 'gaussian' (an O(1)
     envelope at frequency 1/h).  The time integral uses ``n_t`` uniform
-    samples of exact multiplier evolutions.
+    samples of exact multiplier evolutions.  Each meta row records
+    ``x_tail_fraction``, the largest L2 share beyond 0.9 X over its slices.
     """
-    window = window or FrequencyWindow()
     q = float(q)
     r = float(r) if r != math.inf else math.inf
-    rows = [_quotient_one_h(flow_kind, data, k, q, r, t_window, float(h), n_t, window, n_x) for h in h_list]
+    rows = [_quotient_one_h(flow_kind, data, k, q, r, t_window, float(h), n_t) for h in h_list]
     samples = [(row["h"], row["quotient"]) for row in rows]
     slope, stderr = None, None
     hs = [s[0] for s in samples]
     if len(samples) >= 4 and math.log10(max(hs) / min(hs)) >= 1.5:
-        fit = fit_exponent(samples)
-        slope, stderr = fit.slope, fit.stderr
+        slope, stderr = fit_exponent(samples)
     return NormScanResult(q=q, r=r, t_window=tuple(t_window), samples=samples,
                           fitted_exponent=slope, stderr=stderr, reliable=True,
                           meta={"flow": flow_kind, "data": data, "k": k, "rows": rows})

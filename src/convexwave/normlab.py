@@ -73,12 +73,12 @@ def lr_norm(field: WaveField, r) -> float:
     return grid_lr_norm(field.values, field.x, field.y, r)
 
 
-def lqlr_norm(fields, q, r, times=None, *, window_duration=None, min_per_window: int = 8) -> float:
+def lqlr_norm(fields, q, r, times=None, *, window_duration=None) -> float:
     """Outer-L^q in time of inner L^r space norms.
 
     ``fields`` is a list of WaveField (or precomputed inner norms when paired
     with ``times``).  The time grid must be uniform; with ``window_duration``
-    set, at least ``min_per_window`` samples per window are required.
+    set, at least 8 samples per window are required.
     """
     if times is None:
         times = np.array([f.t for f in fields], dtype=float)
@@ -97,10 +97,8 @@ def lqlr_norm(fields, q, r, times=None, *, window_duration=None, min_per_window:
     dt = np.diff(times)
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise NormError("time grid must be uniform")
-    if window_duration is not None and dt[0] > window_duration / min_per_window * (1 + 1e-12):
-        raise NormError(
-            f"{times.size} samples give dt={dt[0]:.3g} > window/{min_per_window}={window_duration/min_per_window:.3g}"
-        )
+    if window_duration is not None and dt[0] > window_duration / 8 * (1 + 1e-12):
+        raise NormError(f"{times.size} samples give dt={dt[0]:.3g} > window/8={window_duration/8:.3g}")
     if q == math.inf:
         return float(inner.max())
     wt = trapezoid_weights(times)
@@ -247,9 +245,9 @@ class NormScanResult:
     meta: dict = field(default_factory=dict)
 
 
-def _fit_if_spanning(samples, min_decades: float = 1.5):
+def _fit_if_spanning(samples):
     hs = [h for h, _ in samples]
-    if len(samples) >= 4 and math.log10(max(hs) / min(hs)) >= min_decades:
+    if len(samples) >= 4 and math.log10(max(hs) / min(hs)) >= 1.5:
         fit = fit_exponent(samples)
         return fit.slope, fit.stderr
     return None, None
@@ -290,9 +288,8 @@ class CounterexampleVerdict:
         }
 
 
-def counterexample_report(r, epsilon, h_list, params_per_h=None, *, q=None, c0=0.25,
-                          samples_per_sqrt_a: int = 12, threads: int = 1,
-                          evaluator_opts: dict | None = None) -> CounterexampleVerdict:
+def counterexample_report(r, epsilon, h_list, *, q=None, c0=0.25,
+                          samples_per_sqrt_a: int = 12, threads: int = 1) -> CounterexampleVerdict:
     """Assemble U_h over N reflections per h and test h^beta growth of the quotient.
 
     beta = beta(r) - epsilon.  PASS requires Q increasing along decreasing h
@@ -309,12 +306,10 @@ def counterexample_report(r, epsilon, h_list, params_per_h=None, *, q=None, c0=0
     control_beta = float(loss_exponent(r).beta_loss) + 0.1
     if q is None:
         q = float(sharp_wave_q(r, d=2))
-    if params_per_h is None:
-        params_per_h = [make_params(h, epsilon, c0) for h in h_list]
+    params_per_h = [make_params(h, epsilon, c0) for h in h_list]
 
     def measure(params):
-        return cusp.uh_mixed_norms(params, q=q, r=r, samples_per_sqrt_a=samples_per_sqrt_a,
-                                   **(evaluator_opts or {}))
+        return cusp.uh_mixed_norms(params, q=q, r=r, samples_per_sqrt_a=samples_per_sqrt_a)
 
     per_h = parallel_map(measure, params_per_h, threads)
     reliable = all(m["reliable"] for m in per_h)

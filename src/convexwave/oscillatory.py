@@ -414,15 +414,15 @@ class _FixedRule:
 
 
 def _sup_over_z(g_func, window: FrequencyWindow, lam: float, z_grid: np.ndarray,
-                tol: float, rounds: int = 4) -> tuple[float, float, _FixedRule]:
-    """Max over z of |int exp(i lam (z eta - G(eta))) psi(eta) d eta| with refinement.
+                tol: float) -> tuple[float, float, _FixedRule]:
+    """Max over z of |int exp(i lam (z eta - G(eta))) psi(eta) d eta| with 4 refinement rounds.
 
     Returns the sup, its maximizer and the fixed rule that evaluated the scan.
     """
     grid = np.array(z_grid, dtype=float)
     rule = _FixedRule(g_func, window, lam, float(grid.min()), float(grid.max()), tol)
     vals = np.abs(rule(grid))
-    for _ in range(rounds):
+    for _ in range(4):
         i = int(np.argmax(vals))
         if i == 0:
             raise GridCoverageError(f"sup attained at left z-grid edge z={grid[0]:.5g}")
@@ -474,8 +474,8 @@ def _grid_jitter(seed, n: int, dz: float) -> np.ndarray:
 
 def gamma_schrodinger(params: SemiclassicalParams, omega_k: float, d: int, lambda_grid,
                       window: FrequencyWindow | None = None, tol: float = 1e-9,
-                      n_z: int = 33, seed: int | None = None) -> DispersionCurve:
-    """Dispersive suprema for the Schroedinger symbol G_s; expects lambda^{-1/2} decay."""
+                      seed: int | None = None) -> DispersionCurve:
+    """Dispersive suprema for the Schroedinger symbol G_s on 33 z-points; expects lambda^{-1/2} decay."""
     if d != 2:
         raise ValueError("only d = 2 is supported (the eta-integral must be one-dimensional)")
     window = window or FrequencyWindow()
@@ -489,8 +489,8 @@ def gamma_schrodinger(params: SemiclassicalParams, omega_k: float, d: int, lambd
     samples = []
     spot = None
     for lam in lambda_grid:
-        z_grid = np.linspace(z_lo - pad, z_hi + pad, n_z)
-        z_grid[1:-1] += _grid_jitter(seed, n_z - 2, z_grid[1] - z_grid[0])
+        z_grid = np.linspace(z_lo - pad, z_hi + pad, 33)
+        z_grid[1:-1] += _grid_jitter(seed, z_grid.size - 2, z_grid[1] - z_grid[0])
         gamma, z_at, rule = _sup_over_z(g, window, float(lam), z_grid, tol)
         spot = _largest_lambda(spot, rule, z_at)
         samples.append(DispersionSample(lam=float(lam), h=h, mu=float(lam) * h ** (2.0 / 3.0),
@@ -502,10 +502,10 @@ def gamma_schrodinger(params: SemiclassicalParams, omega_k: float, d: int, lambd
 
 def gamma_wave(params: SemiclassicalParams, omega_k: float, d: int, lambda_grid,
                window: FrequencyWindow | None = None, tol: float = 1e-9,
-               n_x: int = 41, seed: int | None = None) -> DispersionCurve:
+               seed: int | None = None) -> DispersionCurve:
     """Dispersive suprema for the half-wave symbol G_w.
 
-    The z-grid concentrates on the h^{2/3}-neighborhood of z = 1 via
+    The 41-point z-grid concentrates on the h^{2/3}-neighborhood of z = 1 via
     z = 1 + h^{2/3} x; the fit is restricted to the mu = lam h^{2/3} > 4
     regime, where gamma ~ h^{-1/3} lam^{-1/2}.
     """
@@ -520,8 +520,8 @@ def gamma_wave(params: SemiclassicalParams, omega_k: float, d: int, lambda_grid,
     interior = []
     spot = None
     for lam in lambda_grid:
-        x_grid = np.linspace(-0.6, x_hi, n_x)
-        x_grid[1:-1] += _grid_jitter(seed, n_x - 2, x_grid[1] - x_grid[0])
+        x_grid = np.linspace(-0.6, x_hi, 41)
+        x_grid[1:-1] += _grid_jitter(seed, x_grid.size - 2, x_grid[1] - x_grid[0])
         z_grid = 1.0 + h ** (2.0 / 3.0) * x_grid
         gamma, z_at, rule = _sup_over_z(g, window, float(lam), z_grid, tol)
         spot = _largest_lambda(spot, rule, z_at)

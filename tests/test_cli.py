@@ -116,6 +116,34 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(lines) == 6  # flag overrides config
 
 
+def test_config_goes_after_the_subcommand(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"billiard": {"n": 3}}))
+    out = tmp_path / "b"
+    assert run(["billiard", "--config", cfg, "--out", out]) == 0
+    assert len((out / "billiard.csv").read_text().strip().splitlines()[2:]) == 4  # n = 0..3
+    # before the subcommand it is not an option, so the config cannot be dropped silently
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", cfg, "billiard", "--out", tmp_path / "b2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "b2").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gallery"],
+    ["cusp", "--epsilon", 0.1],
+    ["dispersion"],
+])
+def test_empty_h_grid_is_usage_error(tmp_path, command):
+    out = tmp_path / "empty"
+    assert run(command + ["--h-steps", 0, "--out", out]) == 2
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command[0]: {"h_steps": -1}}))
+    assert run(command + ["--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+
+
 def test_report_summarizes_run(tmp_path, capsys):
     out = tmp_path / "run"
     run(["airy", "--count", 3, "--out", out])

@@ -1,6 +1,7 @@
 """Cusp apparatus: billiards, symbols, reflections, fields, traces."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -478,7 +479,7 @@ def test_dirichlet_residual_builds_no_trace_without_times(monkeypatch):
     assert (params.n_reflections, -1) not in built
     assert out["ratio"] == pytest.approx(4.398645254520138e-07, rel=1e-12)
     built.clear()
-    assert _pair_sums(params, 0, np.array([])) == (0.0, 0.0)
+    assert _pair_sums(params, 0, np.array([]), None) == (0.0, 0.0)  # returns before the symbol is read
     assert built == []
 
 
@@ -513,6 +514,33 @@ def test_uh_mixed_norms_shape_and_checks():
     assert out["lqlr"] > 0 and out["l2_initial"] > 0
     assert out["reliable"]
     assert out["checks"]["third_cusp_fraction"] <= 1e-3
+
+
+def test_uh_mixed_norms_streams_two_live_evaluators(monkeypatch):
+    # h=2^-16 has N=3: the times run through four windows, each evaluator is
+    # built once and dropped when t leaves its window, and the third-cusp check
+    # runs while its two evaluators are still alive
+    live, built = [0], []
+    peak = [0]
+    init = CuspEvaluator.__init__
+
+    def freed():
+        live[0] -= 1
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.n)
+        live[0] += 1
+        peak[0] = max(peak[0], live[0])
+        weakref.finalize(self, freed)
+
+    monkeypatch.setattr(CuspEvaluator, "__init__", counting_init)
+    params = make_params(2.0**-16, 0.1, 0.25)
+    assert params.n_reflections == 3
+    out = uh_mixed_norms(params, q=6.0, r=6.0, samples_per_sqrt_a=9)
+    assert sorted(built) == [0, 1, 2, 3]
+    assert peak[0] <= 2
+    assert out["reliable"] and out["checks"]["third_cusp_fraction"] <= 1e-3
 
 
 def test_reflection_count_reexported():

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from convexwave.airy import airy_zeros
-from convexwave.fields import FrequencyWindow, make_transverse_grid
+from convexwave.airy import ai, airy_zeros
+from convexwave.fields import FrequencyWindow, WaveField, make_transverse_grid
 from convexwave.gallery import (
     GalleryError,
     TransverseFlow,
+    _ModeSynthesis,
     coherent_state,
+    default_x_grid,
     eigenvalue,
     evolve,
     gallery_mode,
@@ -18,7 +20,7 @@ from convexwave.gallery import (
     norm_equivalence,
     strichartz_quotient,
 )
-from convexwave.normlab import lr_norm
+from convexwave.normlab import grid_lr_norm, lqlr_norm, lr_norm
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +210,100 @@ def test_halfwave_exp_variant_is_unimodular(small_setup):
     m_exp = exp_flow.multiplier(0.2, eta)
     assert np.max(np.abs(np.abs(m_exp) - 1.0)) < 1e-14
     assert np.allclose(cos_flow.multiplier(0.2, eta), m_exp.real)
+
+
+def _reference_quotient(flow_kind, data, q, r, t_window, h, n_t):
+    """(lqlr, l2_initial, quotient) from the quotient's former own loop.
+
+    Its own active mask, grid phase, zero-fill and inverse FFT, as the quotient
+    computed them before it shared the mode synthesis.
+    """
+    window = FrequencyWindow()
+    t0, t1 = t_window
+    if flow_kind == "schrodinger":
+        y_lo, y_hi = -0.8, (2.0 + 2.0 * window.outer_halfwidth) * t1 + 0.8
+    else:
+        y_lo, y_hi = -(t1 + 0.9), t1 + 0.9
+    grid = make_transverse_grid(h, y_lo, y_hi, eta_max=window.center + window.outer_halfwidth + 0.1,
+                                oversample=1.6)
+    if data == "coherent":
+        envelope = coherent_state(1.0, h, grid)
+    else:
+        envelope = np.exp(1j * grid.y / h - grid.y**2 / 2.0)
+    spec = make_mode_spec(0, h, envelope, grid, window=window)
+    flow = TransverseFlow(kind=flow_kind, omega=airy_zeros(1)[0], h=h)
+    x = default_x_grid(spec, n_x=120)
+    arg = np.abs(grid.eta)[None, :] ** (2.0 / 3.0) * x[:, None] / h ** (2.0 / 3.0) - spec.omega_k
+    base = spec.windowed_spectrum
+    active = np.abs(base) > 1e-13 * np.abs(base).max()
+    rows_act = ai(arg[:, active].ravel()).reshape((x.size, int(active.sum()))) * base[active][None, :]
+    phase0 = np.exp(1j * grid.y[0] * grid.xi[active])
+    times = np.linspace(t0, t1, n_t)
+    inner = np.empty(n_t)
+    for it, t in enumerate(times):
+        spec_rows = np.zeros((x.size, grid.y.size), dtype=complex)
+        spec_rows[:, active] = rows_act * (flow.multiplier(t, grid.eta[active]) * phase0)[None, :]
+        vals = np.fft.ifft(spec_rows, axis=1) / grid.dy
+        inner[it] = grid_lr_norm(vals, x, grid.y, r)
+        if it == 0:
+            l2_0 = grid_lr_norm(vals, x, grid.y, 2)
+    lqlr = lqlr_norm(inner, q, r, times=times)
+    return lqlr, l2_0, lqlr / l2_0
+
+
+@pytest.mark.parametrize("flow_kind, data", [("schrodinger", "coherent"), ("halfwave", "gaussian")])
+def test_quotient_bit_identical_to_reference_loop(flow_kind, data):
+    hs = [2.0**-8, 2.0**-10]
+    res = strichartz_quotient(flow_kind, data, 3, 6, (0.0, 0.3), hs, n_t=5)
+    for h, row, (_, quotient) in zip(hs, res.meta["rows"], res.samples):
+        lqlr, l2_0, ref = _reference_quotient(flow_kind, data, 3.0, 6.0, (0.0, 0.3), h, 5)
+        assert row["lqlr"] == lqlr
+        assert row["l2_initial"] == l2_0
+        assert quotient == ref
+
+
+def _near_zero_mode():
+    # the window reaches down to eta = 0.01, where the Airy layer is ~30x deeper
+    h = 2.0**-9
+    grid = make_transverse_grid(h, -1.0, 1.0)
+    envelope = coherent_state(0.05, h, grid)
+    return make_mode_spec(0, h, envelope, grid, window=FrequencyWindow(0.3, 0.1, 0.29))
+
+
+def test_tail_guard_rejects_mode_near_zero_frequency():
+    spec = _near_zero_mode()
+    flow = TransverseFlow("schrodinger", spec.omega_k, spec.h)
+    with pytest.raises(GalleryError, match="tail mass fraction 1.10e-02"):
+        gallery_mode(spec)
+    with pytest.raises(GalleryError, match="tail mass fraction"):
+        evolve(spec, flow, 0.1)
+
+
+def test_parseval_tail_matches_field_tail():
+    spec = _near_zero_mode()
+    flow = TransverseFlow("schrodinger", spec.omega_k, spec.h)
+    x = 1.2 * default_x_grid(spec)
+    synth = _ModeSynthesis(spec, x)
+    vals = synth(flow.multiplier(0.1, synth.eta))
+    field_tail = WaveField(values=vals, x=x, y=spec.grid.y, h=spec.h, t=0.1).x_mass_fraction_beyond(0.9 * x[-1])
+    assert 1e-3 < synth.x_tail_fraction < 1e-2
+    assert synth.x_tail_fraction == pytest.approx(field_tail, rel=1e-9)
+
+
+def test_quotient_rows_record_largest_x_tail_fraction():
+    res = strichartz_quotient("halfwave", "gaussian", 3, 6, (0.0, 0.3), [2.0**-8, 2.0**-9], n_t=4)
+    for row in res.meta["rows"]:
+        assert 0.0 < row["x_tail_fraction"] <= 0.01
+    # each slice on its own (spec, x) as the quotient builds them at h=2^-8:
+    # the tail peaks at an interior slice, and the row keeps that peak
+    h = 2.0**-8
+    grid = make_transverse_grid(h, -1.2, 1.2, eta_max=1.3, oversample=1.6)
+    spec = make_mode_spec(0, h, np.exp(1j * grid.y / h - grid.y**2 / 2.0), grid)
+    flow = TransverseFlow("halfwave", spec.omega_k, h)
+    tails = []
+    for t in np.linspace(0.0, 0.3, 4):
+        synth = _ModeSynthesis(spec, default_x_grid(spec, n_x=120))
+        synth(flow.multiplier(t, synth.eta))
+        tails.append(synth.x_tail_fraction)
+    assert 0 < int(np.argmax(tails)) < len(tails) - 1
+    assert res.meta["rows"][0]["x_tail_fraction"] == max(tails)
