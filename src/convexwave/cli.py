@@ -11,6 +11,7 @@ verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -37,7 +38,7 @@ _NUMERIC_ERRORS = (ParameterError, AiryError, QuadratureError, GridCoverageError
 
 
 class _UsageError(Exception):
-    """Configuration that names no work to do; exits with USAGE_EXIT."""
+    """Configuration that names no valid work to do; exits with USAGE_EXIT."""
 
 
 def _fmt(x) -> str:
@@ -66,17 +67,13 @@ class Manifest:
         canon = json.dumps({"config": config, "seed": seed}, sort_keys=True)
         self.hash = hashlib.sha256(canon.encode()).hexdigest()[:16]
 
+    @contextlib.contextmanager
     def time(self, stage: str):
-        manifest = self
-
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                manifest.timings[stage] = round(time.perf_counter() - self.t0, 3)
-
-        return _Timer()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[stage] = round(time.perf_counter() - t0, 3)
 
     def write(self, outdir: Path):
         payload = {
@@ -119,8 +116,7 @@ def cmd_airy(args) -> int:
     cfg = _load_config(args, "airy")
     count = int(cfg.get("count", 10))
     if count < 1:
-        print("error: count must be >= 1", file=sys.stderr)
-        return USAGE_EXIT
+        raise _UsageError("count must be >= 1")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(cfg, int(cfg.get("seed", 0)))
@@ -137,14 +133,12 @@ def cmd_dispersion(args) -> int:
     cfg = _load_config(args, "dispersion")
     flow = cfg.get("flow", "wave")
     if flow not in ("wave", "schrodinger"):
-        print(f"error: unknown flow {flow!r}", file=sys.stderr)
-        return USAGE_EXIT
+        raise _UsageError(f"unknown flow {flow!r}")
     lam_min = float(cfg.get("lambda_min", 30.0))
     lam_max = float(cfg.get("lambda_max", 3000.0))
     lam_steps = int(cfg.get("lambda_steps", 16))
     if lam_steps < 1 or lam_max <= lam_min:
-        print("error: empty lambda range", file=sys.stderr)
-        return USAGE_EXIT
+        raise _UsageError("empty lambda range")
     h_list = _h_grid(cfg)
     epsilon = float(cfg.get("epsilon", 0.1))
     k_mode = int(cfg.get("k", 9))
@@ -185,8 +179,7 @@ def cmd_gallery(args) -> int:
     cfg = _load_config(args, "gallery")
     k_mode = int(cfg.get("k", 0))
     if k_mode < 0:
-        print("error: mode index k must be >= 0", file=sys.stderr)
-        return USAGE_EXIT
+        raise _UsageError("mode index k must be >= 0")
     flow = cfg.get("flow", "schrodinger")
     r = float(cfg.get("r", 6.0))
     data = cfg.get("data", "coherent")
@@ -214,8 +207,7 @@ def cmd_gallery(args) -> int:
 def cmd_cusp(args) -> int:
     cfg = _load_config(args, "cusp")
     if cfg.get("epsilon") is None:
-        print("error: --epsilon is required for the cusp experiment", file=sys.stderr)
-        return USAGE_EXIT
+        raise _UsageError("--epsilon is required for the cusp experiment")
     epsilon = float(cfg["epsilon"])
     r_list = [float(x) for x in str(cfg.get("r_list", cfg.get("r", "6"))).split(",")]
     h_list = _h_grid(cfg)
@@ -293,8 +285,7 @@ def cmd_billiard(args) -> int:
 def cmd_report(args) -> int:
     outdir = Path(args.out)
     if not outdir.exists():
-        print(f"error: no run directory {outdir}", file=sys.stderr)
-        return USAGE_EXIT
+        raise _UsageError(f"no run directory {outdir}")
     summary = {}
     for name in ("dispersion_fit", "gallery_fit", "verdict", "boundary_residual", "airy_branch"):
         path = outdir / f"{name}.json"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .airy import _LEADING, _UK, AiryTable, _branch_series, cubic_coefficients, cubic_interpolate
 from .fields import FrequencyWindow, WaveField
-from .normlab import grid_lr_norm, lqlr_norm, lr_norm
+from .normlab import grid_lr_norm, lqlr_norm
 from .params import SemiclassicalParams, reflection_count
 
 __all__ = [
@@ -200,7 +200,6 @@ class CuspSymbol:
     values: np.ndarray
     xi: np.ndarray
     spectrum: np.ndarray
-    support_center: int
     halfwidth: float
     mollifier_scale: float
     deriv_bounds: tuple
@@ -217,7 +216,7 @@ class CuspSymbol:
         total = float(mass.sum())
         if total == 0.0:
             return 0.0
-        inside = np.abs(self.z - self.support_center) <= self.halfwidth + 0.2
+        inside = np.abs(self.z) <= self.halfwidth + 0.2
         return float(mass[~inside].sum() / total)
 
     def validate(self, reference_bounds=None, slack: float = 1.0, check_tail: bool = True):
@@ -314,7 +313,7 @@ def make_symbol(support, params: SemiclassicalParams, *, n_points: int | None = 
     spectrum = dz * np.exp(-1j * z[0] * xi) * np.fft.fft(vals)
     sym = CuspSymbol(
         z=z, values=vals.astype(complex), xi=xi, spectrum=spectrum,
-        support_center=0, halfwidth=c0, mollifier_scale=lam,
+        halfwidth=c0, mollifier_scale=lam,
         deriv_bounds=_deriv_bounds(vals, dz),
     )
     if float(np.abs(vals).max(initial=0.0)) > 0.0:
@@ -685,7 +684,7 @@ def dirichlet_residual(params: SemiclassicalParams) -> dict:
         for t in t_grid:
             sig = ev.signal(t)
             dy = sig.y[1] - sig.y[0]
-            total_sq += float(np.sum(np.abs(sig.values) ** 2) * dy) * (2.4 * root / n_t)
+            total_sq += float(np.sum(np.abs(sig.values) ** 2) * dy)
     ratio = math.sqrt(total_sq) / max(math.sqrt(scale_sq), 1e-300)
     return {"ratio": ratio, "windows": per_window, "n_reflections": big_n}
 
@@ -698,12 +697,13 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
                    samples_per_sqrt_a: int = 12) -> dict:
     """|U_h|_{L^q([0, 1], L^r)} with U_h assembled from its bracketing cusps.
 
-    The time grid resolves the sqrt(a)-sized essential windows; at each t the
-    sum U_h(t) reduces to the two reflections bracketing t (the others sit at
+    The time grid resolves the sqrt(a)-sized essential windows.  On reflection
+    window k (the times with clip(floor(t / period), 0, N) = k) the sum U_h(t)
+    reduces to the two bracketing cusps u^k and u^{k+1} (the others sit at
     symbol arguments |z - 2n| >= 2 and are measured negligible; one third-cusp
-    contamination check per run feeds the reliability flag).  The times are
-    streamed in order and each evaluator is dropped once t has passed its
-    window, so at most two are alive at once.
+    contamination check per run feeds the reliability flag).  The windows are
+    walked in order and evaluator k+1 is handed on as the next window's lower
+    cusp, so at most two are alive at once.
     """
     a, c0 = params.a, params.c0
     root = math.sqrt((1.0 + a) * a)
@@ -711,43 +711,31 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
     big_n = params.n_reflections
     n_t = int(math.ceil(samples_per_sqrt_a / root)) + 1
     times = np.linspace(0.0, 1.0, n_t)
+    windows = np.clip(np.floor(times / period), 0, big_n).astype(int)
 
     symbol = make_symbol((-c0, c0), params)
-    evaluators: dict[int, CuspEvaluator] = {}
-
-    def get_ev(k: int) -> CuspEvaluator:
-        if k not in evaluators:
-            evaluators[k] = CuspEvaluator(params, k, symbol=symbol)
-        return evaluators[k]
-
     checks = {}
     k_chk = big_n // 2 if big_n >= 2 else None  # the check needs cusps k_chk - 1 >= 0 and k_chk
-
-    def third_cusp_check():
-        t_chk = (4.0 * k_chk + 2.0) * root  # gap apex between k_chk and k_chk+1
-        fld = get_ev(k_chk).field(t_chk)
-        third = get_ev(k_chk - 1).field(t_chk, y_center=fld.meta["y_center"])
-        checks["third_cusp_fraction"] = lr_norm(third, r) / max(lr_norm(fld, r), 1e-300)
-
     inner = np.empty(n_t)
-    l2_initial = None
-    for i, t in enumerate(times):
-        k_lo = int(np.clip(math.floor(t / period), 0, big_n))
-        k_hi = min(k_lo + 1, big_n)
-        if k_lo == k_chk and not checks:
-            third_cusp_check()  # while evaluator k_chk - 1 is still alive
-        for done in [k for k in evaluators if k < k_lo]:
-            del evaluators[done]
-        fld = get_ev(k_lo).field(t)
-        vals = fld.values
-        if k_hi != k_lo:
-            vals = vals + get_ev(k_hi).field(t, y_center=fld.meta["y_center"]).values
-        inner[i] = grid_lr_norm(vals, fld.x, fld.y, r)
-        if i == 0:
-            l2_initial = grid_lr_norm(vals, fld.x, fld.y, 2)
+    hi = CuspEvaluator(params, 0, symbol=symbol)
+    for k in range(windows[-1] + 1):
+        lo = hi  # frees evaluator k - 1 before k + 1 is built
+        hi = CuspEvaluator(params, k + 1, symbol=symbol) if k < big_n else None
+        for i in np.flatnonzero(windows == k):
+            vals, offsets, center = lo.field_values(times[i])
+            if hi is not None:
+                vals += hi.field_values(times[i], center)[0]
+            inner[i] = grid_lr_norm(vals, lo.x, center + offsets, r)
+            if i == 0:
+                l2_initial = grid_lr_norm(vals, lo.x, center + offsets, 2)
+        if k + 1 == k_chk:  # both cusps of the check are alive: k_chk - 1 (lo) and k_chk (hi)
+            t_chk = (4.0 * k_chk + 2.0) * root  # gap apex between k_chk and k_chk + 1
+            vals, offsets, center = hi.field_values(t_chk)
+            third = lo.field_values(t_chk, center)[0]
+            y = center + offsets
+            checks["third_cusp_fraction"] = (grid_lr_norm(third, lo.x, y, r)
+                                             / max(grid_lr_norm(vals, hi.x, y, r), 1e-300))
     lqlr = lqlr_norm(inner, float(q), r, times=times)
-    if k_chk is not None and not checks:
-        third_cusp_check()  # the time grid stepped over k_chk's window
     return {
         "lqlr": lqlr,
         "l2_initial": l2_initial,

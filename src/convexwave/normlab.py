@@ -8,7 +8,7 @@ regresses the quotient against h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -272,20 +272,8 @@ class CounterexampleVerdict:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "q": self.q,
-            "epsilon": self.epsilon,
-            "beta": self.beta,
-            "fitted_exponent": self.fitted_exponent,
-            "stderr": self.stderr,
-            "verdict": self.verdict,
-            "control_beta": self.control_beta,
-            "control_monotone_ok": self.control_monotone_ok,
-            "samples": [[h, q] for h, q in self.samples],
-            "control_samples": [[h, q] for h, q in self.control_samples],
-            "meta": self.meta,
-        }
+        """Every field but the raw per-h ``norms``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "norms"}
 
 
 def counterexample_report(r, epsilon, h_list, *, q=None, c0=0.25,
@@ -321,7 +309,7 @@ def counterexample_report(r, epsilon, h_list, *, q=None, c0=0.25,
         control_samples.append((params.h, params.h**control_beta * quotient))
         norms.append({"h": params.h, "n_reflections": params.n_reflections, **meas})
 
-    fitted, stderr = (None, None)
+    fitted, stderr = _fit_if_spanning(samples)
     verdict = None
     control_ok = None
     if len(samples) >= 2:
@@ -329,13 +317,11 @@ def counterexample_report(r, epsilon, h_list, *, q=None, c0=0.25,
         increasing = all(b[1] > a[1] for a, b in zip(ordered, ordered[1:]))
         ctrl = sorted(control_samples, key=lambda s: -s[0])
         control_ok = all(b[1] <= a[1] * (1 + 1e-9) for a, b in zip(ctrl, ctrl[1:]))
-        if len(samples) >= 4:
-            fitted, stderr = _fit_if_spanning(samples)
         if not reliable:
             verdict = "UNRELIABLE"
         elif fitted is not None:
             verdict = "PASS" if (increasing and fitted <= -epsilon / 2.0) else "FAIL"
-        elif len(samples) >= 2:
+        else:
             verdict = "PASS" if increasing else "FAIL"
 
     return CounterexampleVerdict(

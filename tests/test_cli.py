@@ -144,6 +144,22 @@ def test_empty_h_grid_is_usage_error(tmp_path, command):
     assert not out.exists()
 
 
+def test_gallery_negative_mode_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run(["gallery", "--k", -1, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: mode index k must be >= 0\n"
+    assert not out.exists()
+
+
+def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dispersion": {"flow": "x"}}))  # the flag's choices never see it
+    out = tmp_path / "d"
+    assert run(["dispersion", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: unknown flow 'x'\n"
+    assert not out.exists()
+
+
 def test_report_summarizes_run(tmp_path, capsys):
     out = tmp_path / "run"
     run(["airy", "--count", 3, "--out", out])

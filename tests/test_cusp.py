@@ -29,7 +29,7 @@ from convexwave.cusp import (
     uh_mixed_norms,
     wave_residual,
 )
-from convexwave.normlab import lr_norm
+from convexwave.normlab import grid_lr_norm, lqlr_norm, lr_norm
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +477,45 @@ def test_dirichlet_residual_builds_no_trace_without_times(monkeypatch):
     out = dirichlet_residual(params)
     assert len(built) == 2 * params.n_reflections + 1
     assert (params.n_reflections, -1) not in built
-    assert out["ratio"] == pytest.approx(4.398645254520138e-07, rel=1e-12)
+    assert out["ratio"] == pytest.approx(5.334465698191443e-06, rel=1e-12)
     built.clear()
     assert _pair_sums(params, 0, np.array([]), None) == (0.0, 0.0)  # returns before the symbol is read
     assert built == []
+
+
+def test_dirichlet_residual_sums_every_trace_with_one_weighting():
+    # pair sums, edge traces and the scale are all plain sum_t sum_y |.|^2 dy
+    # over 16 times per window; the edge traces carry no extra time step
+    params = make_params(2.0**-20, 0.1, 0.25)
+    symbol = make_symbol((-params.c0, params.c0), params)
+    root = math.sqrt((1.0 + params.a) * params.a)
+    big_n = params.n_reflections
+    steps = np.linspace(-1.2, 1.2, 16)
+
+    def sq(values, y):
+        return float(np.sum(np.abs(values) ** 2) * (y[1] - y[0]))
+
+    def in_unit(t_grid):
+        return t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)]
+
+    total_sq, scale_sq = 0.0, 0.0
+    for n in range(big_n):
+        tr_m = TraceEvaluator(params, n, -1, symbol=symbol)
+        tr_p = TraceEvaluator(params, n + 1, +1, symbol=symbol)
+        trace_sq = 0.0
+        for t in in_unit((2.0 * n + 1.0 + steps) * 2.0 * root):
+            sm = tr_m.signal(t)
+            sp = tr_p.signal(t, y_center=sm.y_center)
+            total_sq += sq(sm.values + sp.values, sm.y)
+            trace_sq += sq(sm.values, sm.y)
+        scale_sq = max(scale_sq, trace_sq)
+    for n_edge, sign in ((0, +1), (big_n, -1)):
+        t_grid = in_unit((2.0 * n_edge - sign + steps) * 2.0 * root)
+        if t_grid.size:
+            ev = TraceEvaluator(params, n_edge, sign, symbol=symbol)
+            total_sq += sum(sq(sig.values, sig.y) for sig in map(ev.signal, t_grid))
+    expected = math.sqrt(total_sq / scale_sq)
+    assert dirichlet_residual(params)["ratio"] == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +576,87 @@ def test_uh_mixed_norms_streams_two_live_evaluators(monkeypatch):
     assert sorted(built) == [0, 1, 2, 3]
     assert peak[0] <= 2
     assert out["reliable"] and out["checks"]["third_cusp_fraction"] <= 1e-3
+
+
+def _uh_mixed_norms_by_time(params, q, r, samples_per_sqrt_a):
+    """The verdict loop as first streamed: one pass over the time samples with
+    a lazily filled evaluator dict, eviction of passed windows and a
+    third-cusp check (with a fallback after the loop) on wrapped fields."""
+    a = params.a
+    root = math.sqrt((1.0 + a) * a)
+    period = 4.0 * root
+    big_n = params.n_reflections
+    n_t = int(math.ceil(samples_per_sqrt_a / root)) + 1
+    times = np.linspace(0.0, 1.0, n_t)
+    symbol = make_symbol((-params.c0, params.c0), params)
+    evaluators = {}
+
+    def get_ev(k):
+        if k not in evaluators:
+            evaluators[k] = CuspEvaluator(params, k, symbol=symbol)
+        return evaluators[k]
+
+    checks = {}
+    k_chk = big_n // 2 if big_n >= 2 else None
+
+    def third_cusp_check():
+        t_chk = (4.0 * k_chk + 2.0) * root
+        fld = get_ev(k_chk).field(t_chk)
+        third = get_ev(k_chk - 1).field(t_chk, y_center=fld.meta["y_center"])
+        checks["third_cusp_fraction"] = lr_norm(third, r) / max(lr_norm(fld, r), 1e-300)
+
+    inner = np.empty(n_t)
+    l2_initial = None
+    for i, t in enumerate(times):
+        k_lo = int(np.clip(math.floor(t / period), 0, big_n))
+        k_hi = min(k_lo + 1, big_n)
+        if k_lo == k_chk and not checks:
+            third_cusp_check()
+        for done in [k for k in evaluators if k < k_lo]:
+            del evaluators[done]
+        fld = get_ev(k_lo).field(t)
+        vals = fld.values
+        if k_hi != k_lo:
+            vals = vals + get_ev(k_hi).field(t, y_center=fld.meta["y_center"]).values
+        inner[i] = grid_lr_norm(vals, fld.x, fld.y, r)
+        if i == 0:
+            l2_initial = grid_lr_norm(vals, fld.x, fld.y, 2)
+    lqlr = lqlr_norm(inner, float(q), r, times=times)
+    if k_chk is not None and not checks:
+        third_cusp_check()
+    return {
+        "lqlr": lqlr,
+        "l2_initial": l2_initial,
+        "n_time_samples": n_t,
+        "checks": checks,
+        "reliable": checks.get("third_cusp_fraction", 0.0) < 1e-3,
+    }
+
+
+@pytest.mark.parametrize("e, samples, q", [(12, 3, 14.0 / 3.0), (16, 9, 6.0)])
+def test_uh_mixed_norms_window_walk_matches_time_loop(e, samples, q):
+    params = make_params(2.0**-e, 0.1, 0.25)
+    out = uh_mixed_norms(params, q=q, r=6.0, samples_per_sqrt_a=samples)
+    assert out == _uh_mixed_norms_by_time(params, q, 6.0, samples)
+
+
+def test_field_values_buffers_are_fresh():
+    # uh_mixed_norms sums the upper cusp into the lower cusp's slice in place,
+    # so no two field_values calls may hand out the same buffer
+    params = make_params(2.0**-12, 0.1, 0.25)
+    root = math.sqrt((1.0 + params.a) * params.a)
+    lo = CuspEvaluator(params, 0, n_x=40)
+    hi = CuspEvaluator(params, 1, n_x=40, symbol=lo.symbol)
+    t = 2.0 * root
+    first, _, center = lo.field_values(t)
+    again = lo.field_values(t)[0]
+    upper = hi.field_values(t, center)[0]
+    assert not np.shares_memory(first, again)
+    assert not np.shares_memory(first, upper)
+    before = upper.copy()
+    first += upper
+    np.testing.assert_array_equal(upper, before)
+    np.testing.assert_array_equal(again, lo.field_values(t)[0])
 
 
 def test_reflection_count_reexported():
