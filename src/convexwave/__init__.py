@@ -8,7 +8,7 @@ the semiclassical parameter h.
 
 __version__ = "0.1.0"
 
-from .airy import AiryBranchExpansion, AiryZeros, ai, airy_branch, airy_zeros
+from .airy import AiryZeros, ai, airy_branch, airy_zeros
 from .fields import FrequencyWindow, TransverseGrid, WaveField
 from .params import (
     AdmissiblePair,
@@ -25,7 +25,7 @@ from .params import (
 
 __all__ = [
     "__version__",
-    "ai", "airy_branch", "airy_zeros", "AiryZeros", "AiryBranchExpansion",
+    "ai", "airy_branch", "airy_zeros", "AiryZeros",
     "FrequencyWindow", "TransverseGrid", "WaveField",
     "SemiclassicalParams", "AdmissiblePair", "LossExponent", "ParameterError",
     "make_params", "check_admissible", "loss_exponent", "initial_data_regularity",

@@ -153,20 +153,23 @@ def _taylor_core(z):
     return (1.0 - w) * acc0 + w * acc1
 
 
-def _branch_series(big_x, terms=None, sign: int = +1):
-    """S_sign(X) = sum_k (sign i)^k u_k X^{-k}, truncated.
+def _branch_series(big_x, terms=None, factor=1j):
+    """S(X) = sum_k factor^k u_k X^{-k}, truncated; a real ``factor`` keeps the sum real.
 
-    With ``terms=None`` the sum is truncated adaptively at the smallest term
-    (per element); otherwise exactly ``terms + 1`` terms are kept.
+    ``factor = sign * 1j`` gives the oscillatory branch A^{sign}, ``factor = -1``
+    the decaying expansion of Ai(z).  With ``terms=None`` the sum is truncated
+    adaptively at the smallest term (per element); otherwise exactly
+    ``terms + 1`` terms are kept.
     """
     big_x = np.asarray(big_x, dtype=float)
     k_max = _UK.size - 1 if terms is None else terms
-    s = np.ones(big_x.shape, dtype=complex)
-    term = np.ones(big_x.shape, dtype=complex)
+    dtype = complex if np.iscomplexobj(factor) else float
+    s = np.ones(big_x.shape, dtype=dtype)
+    term = np.ones(big_x.shape, dtype=dtype)
     active = np.ones(big_x.shape, dtype=bool)
     last_mag = np.full(big_x.shape, np.inf)
     for k in range(1, k_max + 1):
-        term = term * (sign * 1j * _UK[k] / _UK[k - 1]) / big_x
+        term = term * (factor * _UK[k] / _UK[k - 1]) / big_x
         if terms is None:
             mag = np.abs(term)
             active &= mag < last_mag
@@ -188,17 +191,7 @@ def _asym_neg(z):
 def _asym_pos(z):
     """Ai(z) for z >= BLEND_LO via the decaying expansion."""
     big_x = (2.0 / 3.0) * z**1.5
-    s = np.ones_like(z)
-    term = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    last = np.full(z.shape, np.inf)
-    for k in range(1, _UK.size):
-        term = term * (-_UK[k] / _UK[k - 1]) / big_x
-        mag = np.abs(term)
-        active &= mag < last
-        s = np.where(active, s + term, s)
-        last = np.where(active, mag, last)
-    return _LEADING * z**-0.25 * np.exp(-big_x) * s
+    return _LEADING * z**-0.25 * np.exp(-big_x) * _branch_series(big_x, factor=-1.0)
 
 
 def _blend_weight(az):
@@ -369,32 +362,6 @@ def airy_zeros(count: int) -> AiryZeros:
     return AiryZeros(values=zeros)
 
 
-@dataclass(frozen=True)
-class AiryBranchExpansion:
-    """Truncated expansion data for one oscillatory branch A^+/A^-.
-
-    ``coefficients[j]`` multiplies z^{-3j/2} in the normalized series; the
-    overall calibrated leading constant is recorded separately.
-    """
-
-    sign: int
-    terms: int
-    coefficients: np.ndarray
-    leading_constant: float = _LEADING
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise AiryError("sign must be +1 or -1")
-
-
-def branch_expansion(sign: int, terms: int) -> AiryBranchExpansion:
-    if terms < 0 or terms > 6:
-        raise AiryError(f"terms must lie in [0, 6], got {terms}")
-    j = np.arange(terms + 1)
-    coeffs = (1j * sign) ** j * _UK[: terms + 1] * 1.5**j
-    return AiryBranchExpansion(sign=sign, terms=terms, coefficients=coeffs)
-
-
 def airy_branch(z, sign: int, terms: int = 3):
     """Truncated branch A^{sign}(-z) for z >= 2 (asymptotic regime).
 
@@ -411,7 +378,7 @@ def airy_branch(z, sign: int, terms: int = 3):
     if np.any(zf < 2.0):
         raise AiryError("airy_branch requires z >= 2 (expansion divergent below)")
     big_x = (2.0 / 3.0) * zf**1.5
-    series = _branch_series(big_x, terms, sign)
+    series = _branch_series(big_x, terms, sign * 1j)
     val = _LEADING * zf**-0.25 * np.exp(-1j * sign * (big_x - 0.25 * math.pi)) * series
     if scalar:
         return complex(val[0])
@@ -424,7 +391,7 @@ def calibrate_branch_leading() -> dict:
     The classical envelope gives 1/(2 sqrt(pi)); an alternative printed
     constant 1/(4 pi^{3/2}) disagrees by a factor 2 pi.  Only relative
     scalings enter downstream tests, so the constant is fixed by this fit and
-    recorded in the expansion metadata.
+    reported beside the classical one.
     """
     z_grid = np.linspace(9.0, 40.0, 141)
     big_x = (2.0 / 3.0) * z_grid**1.5

@@ -34,11 +34,20 @@ NUMERIC_EXIT = 3
 UNRELIABLE_EXIT = 4
 
 _NUMERIC_ERRORS = (ParameterError, AiryError, QuadratureError, GridCoverageError,
-                   GalleryError, CuspError, NormError, ValueError)
+                   GalleryError, CuspError, NormError)
 
 
 class _UsageError(Exception):
     """Configuration that names no valid work to do; exits with USAGE_EXIT."""
+
+
+@contextlib.contextmanager
+def _config_values():
+    """A config value that does not parse or validate is a usage error, raised before any output."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _fmt(x) -> str:
@@ -107,6 +116,8 @@ def _h_grid(cfg) -> list[float]:
     steps = int(cfg.get("h_steps", 3))
     if steps < 1:
         raise _UsageError(f"h_steps must be >= 1, got {steps}")
+    if min(h_min, h_max) <= 0.0:
+        raise _UsageError(f"h_min and h_max must be > 0, got {h_min} and {h_max}")
     if steps == 1:
         return [h_max]
     return list(np.geomspace(h_max, h_min, steps))
@@ -114,12 +125,13 @@ def _h_grid(cfg) -> list[float]:
 
 def cmd_airy(args) -> int:
     cfg = _load_config(args, "airy")
-    count = int(cfg.get("count", 10))
+    with _config_values():
+        count = int(cfg.get("count", 10))
+        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
     if count < 1:
         raise _UsageError("count must be >= 1")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(cfg, int(cfg.get("seed", 0)))
     with manifest.time("zeros"):
         zeros = airy_zeros(count)
     write_csv(outdir / "airy_zeros.csv", ["k", "omega_k"],
@@ -134,33 +146,35 @@ def cmd_dispersion(args) -> int:
     flow = cfg.get("flow", "wave")
     if flow not in ("wave", "schrodinger"):
         raise _UsageError(f"unknown flow {flow!r}")
-    lam_min = float(cfg.get("lambda_min", 30.0))
-    lam_max = float(cfg.get("lambda_max", 3000.0))
-    lam_steps = int(cfg.get("lambda_steps", 16))
+    with _config_values():
+        lam_min = float(cfg.get("lambda_min", 30.0))
+        lam_max = float(cfg.get("lambda_max", 3000.0))
+        lam_steps = int(cfg.get("lambda_steps", 16))
+        h_list = _h_grid(cfg)
+        epsilon = float(cfg.get("epsilon", 0.1))
+        k_mode = int(cfg.get("k", 9))
+        window = FrequencyWindow(1.0, float(cfg.get("win_inner", 0.25)), float(cfg.get("win_outer", 0.5)))
+        threads = int(cfg.get("threads", 1))
+        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
+        mu_min = float(cfg.get("mu_min", 12.0))
     if lam_steps < 1 or lam_max <= lam_min:
         raise _UsageError("empty lambda range")
-    h_list = _h_grid(cfg)
-    epsilon = float(cfg.get("epsilon", 0.1))
-    k_mode = int(cfg.get("k", 9))
-    window = FrequencyWindow(1.0, float(cfg.get("win_inner", 0.25)), float(cfg.get("win_outer", 0.5)))
+    if lam_min < 1.0:
+        raise _UsageError(f"lambda_min must be >= 1, got {lam_min}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(cfg, int(cfg.get("seed", 0)))
     omega = airy_zeros(k_mode + 1)[k_mode]
     lam_grid = np.geomspace(lam_min, lam_max, lam_steps)
-    threads = int(cfg.get("threads", 1))
     scan = gamma_wave if flow == "wave" else gamma_schrodinger
 
-    seed = int(cfg.get("seed", 0)) or None
-
     def one(h):
-        return scan(make_params(h, epsilon, 0.2), omega, 2, lam_grid, window=window, seed=seed)
+        return scan(make_params(h, epsilon, 0.2), omega, 2, lam_grid, window=window, seed=manifest.seed or None)
 
     with manifest.time("scan"):
         curves = parallel_map(one, h_list, threads)
         pooled = pool_curves(curves)
         if flow == "wave":
-            pooled.fit(mu_min=float(cfg.get("mu_min", 12.0)))
+            pooled.fit(mu_min=mu_min)
     rows = [row for c in curves for row in c.rows()]
     write_csv(outdir / "dispersion.csv", ["flow", "d", "h", "lambda", "mu", "gamma"], rows, manifest.hash)
     write_json(outdir / "dispersion_fit.json", {
@@ -177,23 +191,25 @@ def cmd_dispersion(args) -> int:
 
 def cmd_gallery(args) -> int:
     cfg = _load_config(args, "gallery")
-    k_mode = int(cfg.get("k", 0))
+    flow = cfg.get("flow", "schrodinger")
+    data = cfg.get("data", "coherent")
+    with _config_values():
+        k_mode = int(cfg.get("k", 0))
+        r = float(cfg.get("r", 6.0))
+        if cfg.get("q") is not None:
+            q = float(cfg["q"])
+        else:
+            q = float(sharp_schrodinger_q(r) if flow == "schrodinger" else sharp_wave_q(r))
+        h_list = _h_grid(cfg)
+        t_max = float(cfg.get("t_max", 0.3))
+        t_steps = int(cfg.get("t_steps", 25))
+        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
     if k_mode < 0:
         raise _UsageError("mode index k must be >= 0")
-    flow = cfg.get("flow", "schrodinger")
-    r = float(cfg.get("r", 6.0))
-    data = cfg.get("data", "coherent")
-    if cfg.get("q") is not None:
-        q = float(cfg["q"])
-    else:
-        q = float(sharp_schrodinger_q(r) if flow == "schrodinger" else sharp_wave_q(r))
-    h_list = _h_grid(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(cfg, int(cfg.get("seed", 0)))
     with manifest.time("quotients"):
-        res = strichartz_quotient(flow, data, q, r, (0.0, float(cfg.get("t_max", 0.3))),
-                                  h_list, k=k_mode, n_t=int(cfg.get("t_steps", 25)))
+        res = strichartz_quotient(flow, data, q, r, (0.0, t_max), h_list, k=k_mode, n_t=t_steps)
     write_csv(outdir / "gallery_quotients.csv", ["h", "quotient"], res.samples, manifest.hash)
     write_json(outdir / "gallery_fit.json", {
         "flow": flow, "data": data, "k": k_mode, "q": q, "r": r,
@@ -208,13 +224,17 @@ def cmd_cusp(args) -> int:
     cfg = _load_config(args, "cusp")
     if cfg.get("epsilon") is None:
         raise _UsageError("--epsilon is required for the cusp experiment")
-    epsilon = float(cfg["epsilon"])
-    r_list = [float(x) for x in str(cfg.get("r_list", cfg.get("r", "6"))).split(",")]
-    h_list = _h_grid(cfg)
-    c0 = float(cfg.get("c0", 0.25))
+    with _config_values():
+        epsilon = float(cfg["epsilon"])
+        r_list = [float(x) for x in str(cfg.get("r_list", cfg.get("r", "6"))).split(",")]
+        h_list = _h_grid(cfg)
+        c0 = float(cfg.get("c0", 0.25))
+        q = None if cfg.get("q") is None else float(cfg["q"])
+        t_resolution = int(cfg.get("t_resolution", 12))
+        threads = int(cfg.get("threads", 1))
+        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(cfg, int(cfg.get("seed", 0)))
 
     residual_rows = []
     with manifest.time("boundary_residual"):
@@ -249,10 +269,8 @@ def cmd_cusp(args) -> int:
                 verdicts.append({"r": r, "verdict": "NOT-APPLICABLE",
                                  "reason": "construction yields no contradiction for r <= 4"})
                 continue
-            rep = counterexample_report(r, epsilon, h_list, c0=c0,
-                                        q=cfg.get("q"),
-                                        samples_per_sqrt_a=int(cfg.get("t_resolution", 12)),
-                                        threads=int(cfg.get("threads", 1)))
+            rep = counterexample_report(r, epsilon, h_list, c0=c0, q=q,
+                                        samples_per_sqrt_a=t_resolution, threads=threads)
             verdicts.append(rep.to_dict())
             for h, qv in rep.samples:
                 norm_rows.append((h, r, rep.q, qv))
@@ -266,13 +284,14 @@ def cmd_cusp(args) -> int:
 
 def cmd_billiard(args) -> int:
     cfg = _load_config(args, "billiard")
-    point = PhaseSpacePoint(y=float(cfg.get("y", 0.0)), t=float(cfg.get("t", 0.0)),
-                            eta=float(cfg.get("eta", 1.0)), tau=float(cfg.get("tau", 1.5)))
+    with _config_values():
+        point = PhaseSpacePoint(y=float(cfg.get("y", 0.0)), t=float(cfg.get("t", 0.0)),
+                                eta=float(cfg.get("eta", 1.0)), tau=float(cfg.get("tau", 1.5)))
+        n = int(cfg.get("n", 1))
+        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
     sign = +1 if str(cfg.get("sign", "+")) in ("+", "+1", "1") else -1
-    n = int(cfg.get("n", 1))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(cfg, int(cfg.get("seed", 0)))
     rows = [(0, point.y, point.t, point.eta, point.tau)]
     for j in range(1, n + 1):
         p = billiard_iterate(point, sign, j)
@@ -304,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, help="worker pool size")
         p.add_argument("--seed", type=int, help="seed (grid jitter only)")
         p.add_argument("--config", help="JSON config file with per-command sections")
 
@@ -315,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispersion", help="dispersive amplitude scans")
     common(p)
+    p.add_argument("--threads", type=int, help="worker pool size (one h per worker)")
     p.add_argument("--flow", choices=["wave", "schrodinger"])
     p.add_argument("--h-min", type=float)
     p.add_argument("--h-max", type=float)
@@ -341,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cusp", help="reflected-cusp norms, residuals and verdict")
     common(p)
+    p.add_argument("--threads", type=int, help="worker pool size (one h per worker)")
     p.add_argument("--h-list", help="comma-separated h values")
     p.add_argument("--h-min", type=float)
     p.add_argument("--h-max", type=float)

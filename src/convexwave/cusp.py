@@ -29,7 +29,7 @@ from .params import SemiclassicalParams, reflection_count
 
 __all__ = [
     "PhaseSpacePoint", "billiard", "billiard_iterate", "ReflectionKernel",
-    "CuspSymbol", "make_symbol", "iterate_symbol", "CuspField", "CuspEvaluator",
+    "CuspSymbol", "make_symbol", "iterate_symbol", "CuspEvaluator",
     "cusp_field", "wave_residual", "trace", "boundary_residual",
     "dirichlet_residual", "uh_mixed_norms", "reflection_count",
 ]
@@ -145,7 +145,7 @@ class ReflectionKernel:
         """a_{sign}(zeta, omega): truncated branch amplitude including phase constants."""
         zeta = np.asarray(zeta, dtype=float)
         big_x = (2.0 / 3.0) * omega * (1.0 - zeta) ** 1.5
-        series = _branch_series(big_x, self.branch_terms, sign)
+        series = _branch_series(big_x, self.branch_terms, sign * 1j)
         return _LEADING * (1.0 - zeta) ** -0.25 * np.exp(sign * 1j * math.pi / 4.0) * series
 
     def trace_multiplier(self, zeta, omega, sign: int):
@@ -355,14 +355,6 @@ def iterate_symbol(rho0: CuspSymbol, n: int, eta: float, params: SemiclassicalPa
 # field evaluation (Airy reduction)
 
 
-@dataclass
-class CuspField(WaveField):
-    """Cusp field samples plus the reflection index and parameters."""
-
-    n: int = 0
-    params: SemiclassicalParams | None = None
-
-
 class _YAssembly:
     """The eta -> y sum  sum_e S_e e^{i eta_e y / h}  on centred y-offsets.
 
@@ -501,19 +493,18 @@ class CuspEvaluator:
         vals = self._y(dense[:n_x], dense[n_x:], center - natural_center)
         return vals, self._y.offsets, center
 
-    def field(self, t: float, y_center: float | None = None) -> CuspField:
+    def field(self, t: float, y_center: float | None = None) -> WaveField:
         vals, offsets, center = self.field_values(t, y_center)
-        return CuspField(values=vals, x=self.x, y=center + offsets, h=self.params.h, t=t,
-                         n=self.n, params=self.params,
-                         meta={"y_center": center, "second_deriv": self.second_deriv})
+        return WaveField(values=vals, x=self.x, y=center + offsets, h=self.params.h, t=t,
+                         meta={"n": self.n, "y_center": center, "second_deriv": self.second_deriv})
 
 
-def cusp_field(n: int, t: float, params: SemiclassicalParams, **opts) -> CuspField:
+def cusp_field(n: int, t: float, params: SemiclassicalParams, **opts) -> WaveField:
     """Single-shot evaluation of u^n at time t (builds a fresh evaluator)."""
     return CuspEvaluator(params, n, **opts).field(t)
 
 
-def wave_residual(n: int, t: float, params: SemiclassicalParams, **opts) -> CuspField:
+def wave_residual(n: int, t: float, params: SemiclassicalParams, **opts) -> WaveField:
     """Field of the wave operator applied to u^n: symbol slot differentiated twice.
 
     Same Airy reduction with the spectrum multiplied by (i xi)^2 and prefactor
@@ -612,21 +603,29 @@ def trace(n: int, sign: int, t: float, params: SemiclassicalParams, **opts) -> T
 def _pair_sums(params: SemiclassicalParams, n: int, t_grid, symbol: CuspSymbol) -> tuple[float, float]:
     """(pair_sq, trace_sq): |Tr_-(u^n) + Tr_+(u^{n+1})|^2 and |Tr_-(u^n)|^2 summed over t_grid and y.
 
-    Both traces share the carrier center exactly; neither
+    With u^{-1} = u^{N+1} = 0, only the trace that exists is built for n = -1
+    and n = N.  Both traces share the carrier center exactly; no
     :class:`TraceEvaluator` is built for an empty t_grid.
     """
     if len(t_grid) == 0:
         return 0.0, 0.0
-    tr_m = TraceEvaluator(params, n, -1, symbol=symbol)
-    tr_p = TraceEvaluator(params, n + 1, +1, symbol=symbol)
+    tr_m = TraceEvaluator(params, n, -1, symbol=symbol) if n >= 0 else None
+    tr_p = TraceEvaluator(params, n + 1, +1, symbol=symbol) if n < params.n_reflections else None
+
+    def sq(values, y):
+        return float(np.sum(np.abs(values) ** 2) * (y[1] - y[0]))
+
     pair_sq = 0.0
     trace_sq = 0.0
     for t in t_grid:
-        sm = tr_m.signal(t)
-        sp = tr_p.signal(t, y_center=sm.y_center)
-        dy = sm.y[1] - sm.y[0]
-        pair_sq += float(np.sum(np.abs(sm.values + sp.values) ** 2) * dy)
-        trace_sq += float(np.sum(np.abs(sm.values) ** 2) * dy)
+        sm = None if tr_m is None else tr_m.signal(t)
+        sp = None if tr_p is None else tr_p.signal(t, y_center=None if sm is None else sm.y_center)
+        if sm is None:
+            pair_sq += sq(sp.values, sp.y)
+            continue
+        trace = sq(sm.values, sm.y)
+        trace_sq += trace
+        pair_sq += trace if sp is None else sq(sm.values + sp.values, sm.y)
     return pair_sq, trace_sq
 
 
@@ -654,39 +653,33 @@ def boundary_residual(n: int, params: SemiclassicalParams, *,
 
 
 def dirichlet_residual(params: SemiclassicalParams) -> dict:
-    """Full boundary check over [0,1]: all trace pairs plus the two edge traces.
+    """Full boundary check over [0,1]: the trace of U_h window by window.
 
-    Returns the summed-trace L2 over [0,1] x boundary relative to the largest
-    single-trace L2, window by window, from 16 times per window.
+    Window n = -1..N holds Tr_-(u^n) + Tr_+(u^{n+1}) with u^{-1} = u^{N+1} = 0,
+    sampled at those of its 16 times that lie in [0, 1].  Returns the
+    summed-trace L2 over [0,1] x boundary relative to the largest single-trace
+    L2 of the windows 0..N-1 (listed in ``windows``); ``edges`` gives the L2
+    and the number of kept times of the one-trace windows -1 and N.
     """
     symbol = make_symbol((-params.c0, params.c0), params)
-    n_t = 16
     a = params.a
     root = math.sqrt((1.0 + a) * a)
     big_n = params.n_reflections
     total_sq = 0.0
     scale_sq = 0.0
-    per_window = []
-    for n in range(0, big_n):
-        t_grid = (2.0 * n + 1.0 + np.linspace(-1.2, 1.2, n_t)) * 2.0 * root
-        w_sq, s_sq = _pair_sums(params, n, t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)], symbol)
-        total_sq += w_sq
-        scale_sq = max(scale_sq, s_sq)
-        per_window.append({"n": n, "pair_l2": math.sqrt(w_sq), "trace_l2": math.sqrt(s_sq)})
-    # edge traces: Tr_+(u^0) lives at negative t, Tr_-(u^N) beyond t = 1
-    for n_edge, sign in ((0, +1), (big_n, -1)):
-        t_center = (2.0 * n_edge - sign) * 2.0 * root
-        t_grid = t_center + np.linspace(-1.2, 1.2, n_t) * 2.0 * root
+    per_window, edges = [], []
+    for n in range(-1, big_n + 1):
+        t_grid = (2.0 * n + 1.0 + np.linspace(-1.2, 1.2, 16)) * 2.0 * root
         t_grid = t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)]
-        if t_grid.size == 0:
-            continue
-        ev = TraceEvaluator(params, n_edge, sign, symbol=symbol)
-        for t in t_grid:
-            sig = ev.signal(t)
-            dy = sig.y[1] - sig.y[0]
-            total_sq += float(np.sum(np.abs(sig.values) ** 2) * dy)
+        w_sq, s_sq = _pair_sums(params, n, t_grid, symbol)
+        total_sq += w_sq
+        if n in (-1, big_n):
+            edges.append({"n": n, "l2": math.sqrt(w_sq), "n_times": int(t_grid.size)})
+        else:
+            scale_sq = max(scale_sq, s_sq)
+            per_window.append({"n": n, "pair_l2": math.sqrt(w_sq), "trace_l2": math.sqrt(s_sq)})
     ratio = math.sqrt(total_sq) / max(math.sqrt(scale_sq), 1e-300)
-    return {"ratio": ratio, "windows": per_window, "n_reflections": big_n}
+    return {"ratio": ratio, "windows": per_window, "edges": edges, "n_reflections": big_n}
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +728,7 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
             y = center + offsets
             checks["third_cusp_fraction"] = (grid_lr_norm(third, lo.x, y, r)
                                              / max(grid_lr_norm(vals, hi.x, y, r), 1e-300))
-    lqlr = lqlr_norm(inner, float(q), r, times=times)
+    lqlr = lqlr_norm(inner, times, float(q))
     return {
         "lqlr": lqlr,
         "l2_initial": l2_initial,

@@ -147,39 +147,3 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w[1:] += 0.5 * dx
     return w
 
-
-def save_field(field: WaveField, path_base) -> tuple[str, str]:
-    """Write a field as a binary matrix plus a JSON sidecar with grid metadata."""
-    import json
-    from pathlib import Path
-
-    base = Path(path_base)
-    npy_path = base.with_suffix(".npy")
-    json_path = base.with_suffix(".json")
-    np.save(npy_path, field.values)
-    sidecar = {
-        "shape": list(field.values.shape),
-        "dtype": str(field.values.dtype),
-        "x": field.x.tolist(),
-        "y_start": float(field.y[0]),
-        "y_step": float(field.dy),
-        "n_y": int(field.y.size),
-        "h": field.h,
-        "t": field.t,
-        "meta": {k: v for k, v in field.meta.items() if isinstance(v, (int, float, str, bool))},
-    }
-    json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return str(npy_path), str(json_path)
-
-
-def load_field(path_base) -> WaveField:
-    """Read back a field written by :func:`save_field`."""
-    import json
-    from pathlib import Path
-
-    base = Path(path_base)
-    values = np.load(base.with_suffix(".npy"))
-    sidecar = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
-    y = sidecar["y_start"] + sidecar["y_step"] * np.arange(sidecar["n_y"])
-    return WaveField(values=values, x=np.asarray(sidecar["x"]), y=y,
-                     h=sidecar["h"], t=sidecar["t"], meta=sidecar.get("meta", {}))

@@ -59,9 +59,7 @@ class TransverseFlow:
     """Transverse symbol: G_s = eta^2 + omega h^{2/3} |eta|^{4/3}, G_w = sqrt(G_s).
 
     ``kind`` selects the time multiplier: 'schrodinger' uses exp(-i t G_s / h),
-    'halfwave' the cosine propagator cos(t G_w / h) (zero-velocity data), and
-    'halfwave_exp' the single exponential exp(i t G_w / h) used for the
-    dispersive scans.
+    'halfwave' the cosine propagator cos(t G_w / h) (zero-velocity data).
     """
 
     kind: str
@@ -69,20 +67,18 @@ class TransverseFlow:
     h: float
 
     def __post_init__(self):
-        if self.kind not in ("schrodinger", "halfwave", "halfwave_exp"):
+        if self.kind not in ("schrodinger", "halfwave"):
             raise GalleryError(f"unknown flow kind {self.kind!r}")
 
     def symbol(self, eta):
-        g = g_wave if self.kind.startswith("halfwave") else g_schrodinger
+        g = g_wave if self.kind == "halfwave" else g_schrodinger
         return g(eta, self.omega, self.h)
 
     def multiplier(self, t: float, eta):
         g = self.symbol(eta)
         if self.kind == "schrodinger":
             return np.exp(-1j * (t / self.h) * g)
-        if self.kind == "halfwave":
-            return np.cos((t / self.h) * g).astype(complex)
-        return np.exp(1j * (t / self.h) * g)
+        return np.cos((t / self.h) * g).astype(complex)
 
 
 def coherent_state(eta0: float, h: float, grid: TransverseGrid) -> np.ndarray:
@@ -249,7 +245,7 @@ def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float,
         inner[it] = grid_lr_norm(vals, synth.x, grid.y, r)
         if it == 0:
             l2_0 = grid_lr_norm(vals, synth.x, grid.y, 2)
-    lqlr = lqlr_norm(inner, q, r, times=times)
+    lqlr = lqlr_norm(inner, times, q)
     return {"h": h, "lqlr": lqlr, "l2_initial": l2_0, "quotient": lqlr / l2_0,
             "n_y": grid.y.size, "n_x": synth.x.size, "x_tail_fraction": synth.x_tail_fraction}
 

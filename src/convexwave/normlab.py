@@ -73,23 +73,16 @@ def lr_norm(field: WaveField, r) -> float:
     return grid_lr_norm(field.values, field.x, field.y, r)
 
 
-def lqlr_norm(fields, q, r, times=None, *, window_duration=None) -> float:
-    """Outer-L^q in time of inner L^r space norms.
+def lqlr_norm(inner, times, q, *, window_duration=None) -> float:
+    """Outer-L^q in time of the inner space norms ``inner`` sampled at ``times``.
 
-    ``fields`` is a list of WaveField (or precomputed inner norms when paired
-    with ``times``).  The time grid must be uniform; with ``window_duration``
-    set, at least 8 samples per window are required.
+    The time grid must be uniform; with ``window_duration`` set, at least 8
+    samples per window are required.
     """
-    if times is None:
-        times = np.array([f.t for f in fields], dtype=float)
-    else:
-        times = np.asarray(times, dtype=float)
-    if isinstance(fields[0], WaveField):
-        inner = np.array([lr_norm(f, r) for f in fields])
-    else:
-        inner = np.asarray(fields, dtype=float)
+    inner = np.asarray(inner, dtype=float)
+    times = np.asarray(times, dtype=float)
     if times.size != inner.size:
-        raise NormError("times and fields length mismatch")
+        raise NormError("times and norms length mismatch")
     if times.size == 1:
         if q == math.inf:
             return float(inner[0])
@@ -240,7 +233,6 @@ class NormScanResult:
     samples: list
     fitted_exponent: float | None
     stderr: float | None
-    regions: dict | None = None
     reliable: bool = True
     meta: dict = field(default_factory=dict)
 

@@ -437,11 +437,6 @@ def _sup_over_z(g_func, window: FrequencyWindow, lam: float, z_grid: np.ndarray,
     return float(vals[i]), float(grid[i]), rule
 
 
-def _largest_lambda(spot, rule: _FixedRule, z_at: float):
-    """Keep the (rule, maximizer) pair of the largest lambda seen so far."""
-    return (rule, z_at) if spot is None or rule.lam > spot[0].lam else spot
-
-
 def _spot_check(curve: DispersionCurve, spot, tol: float) -> None:
     """Compare the largest-lambda scan with the oracle at its maximizer.
 
@@ -472,12 +467,28 @@ def _grid_jitter(seed, n: int, dz: float) -> np.ndarray:
     return rng.uniform(-0.3, 0.3, n) * dz
 
 
+def _gamma_curve(flow: str, d: int, g_func, window: FrequencyWindow, lambda_grid,
+                 z_grid: np.ndarray, h: float, tol: float) -> DispersionCurve:
+    """One sup-over-z sample per lambda on the fixed z-grid, spot-checked at the largest lambda."""
+    if d != 2:
+        raise ValueError("only d = 2 is supported (the eta-integral must be one-dimensional)")
+    samples = []
+    spot = None  # (rule, maximizer) of the largest lambda so far
+    for lam in lambda_grid:
+        gamma, z_at, rule = _sup_over_z(g_func, window, float(lam), z_grid, tol)
+        if spot is None or rule.lam > spot[0].lam:
+            spot = (rule, z_at)
+        samples.append(DispersionSample(lam=float(lam), h=h, mu=float(lam) * h ** (2.0 / 3.0),
+                                        gamma=gamma, z_at_max=z_at))
+    curve = DispersionCurve(flow=flow, d=d, samples=samples)
+    _spot_check(curve, spot, tol)
+    return curve
+
+
 def gamma_schrodinger(params: SemiclassicalParams, omega_k: float, d: int, lambda_grid,
                       window: FrequencyWindow | None = None, tol: float = 1e-9,
                       seed: int | None = None) -> DispersionCurve:
     """Dispersive suprema for the Schroedinger symbol G_s on 33 z-points; expects lambda^{-1/2} decay."""
-    if d != 2:
-        raise ValueError("only d = 2 is supported (the eta-integral must be one-dimensional)")
     window = window or FrequencyWindow()
     h = params.h
     g = lambda e: g_schrodinger(e, omega_k, h)
@@ -486,18 +497,9 @@ def gamma_schrodinger(params: SemiclassicalParams, omega_k: float, d: int, lambd
     gp = lambda e: (g(e + step) - g(e - step)) / (2 * step)
     z_lo, z_hi = gp(lo), gp(hi)
     pad = 0.25 * (z_hi - z_lo)
-    samples = []
-    spot = None
-    for lam in lambda_grid:
-        z_grid = np.linspace(z_lo - pad, z_hi + pad, 33)
-        z_grid[1:-1] += _grid_jitter(seed, z_grid.size - 2, z_grid[1] - z_grid[0])
-        gamma, z_at, rule = _sup_over_z(g, window, float(lam), z_grid, tol)
-        spot = _largest_lambda(spot, rule, z_at)
-        samples.append(DispersionSample(lam=float(lam), h=h, mu=float(lam) * h ** (2.0 / 3.0),
-                                        gamma=gamma, z_at_max=z_at))
-    curve = DispersionCurve(flow="schrodinger", d=d, samples=samples)
-    _spot_check(curve, spot, tol)
-    return curve.fit()
+    z_grid = np.linspace(z_lo - pad, z_hi + pad, 33)
+    z_grid[1:-1] += _grid_jitter(seed, z_grid.size - 2, z_grid[1] - z_grid[0])
+    return _gamma_curve("schrodinger", d, g, window, lambda_grid, z_grid, h, tol).fit()
 
 
 def gamma_wave(params: SemiclassicalParams, omega_k: float, d: int, lambda_grid,
@@ -509,30 +511,20 @@ def gamma_wave(params: SemiclassicalParams, omega_k: float, d: int, lambda_grid,
     z = 1 + h^{2/3} x; the fit is restricted to the mu = lam h^{2/3} > 4
     regime, where gamma ~ h^{-1/3} lam^{-1/2}.
     """
-    if d != 2:
-        raise ValueError("only d = 2 is supported")
     window = window or FrequencyWindow()
     h = params.h
     g = lambda e: g_wave(e, omega_k, h)
-    rho_lo = window.support[0]
+    rho_lo, rho_hi = window.support
     x_hi = (omega_k / 6.0) * rho_lo ** (-2.0 / 3.0) * 1.8 + 0.3
-    samples = []
+    x_grid = np.linspace(-0.6, x_hi, 41)
+    x_grid[1:-1] += _grid_jitter(seed, x_grid.size - 2, x_grid[1] - x_grid[0])
+    curve = _gamma_curve("wave", d, g, window, lambda_grid, 1.0 + h ** (2.0 / 3.0) * x_grid, h, tol)
     interior = []
-    spot = None
-    for lam in lambda_grid:
-        x_grid = np.linspace(-0.6, x_hi, 41)
-        x_grid[1:-1] += _grid_jitter(seed, x_grid.size - 2, x_grid[1] - x_grid[0])
-        z_grid = 1.0 + h ** (2.0 / 3.0) * x_grid
-        gamma, z_at, rule = _sup_over_z(g, window, float(lam), z_grid, tol)
-        spot = _largest_lambda(spot, rule, z_at)
-        x_at = (z_at - 1.0) / h ** (2.0 / 3.0)
+    for s in curve.samples:
+        x_at = (s.z_at_max - 1.0) / h ** (2.0 / 3.0)
         rho_at = (6.0 * x_at / omega_k) ** (-1.5) if x_at > 0 else math.inf
-        interior.append(window.support[0] <= rho_at <= window.support[1])
-        samples.append(DispersionSample(lam=float(lam), h=h, mu=float(lam) * h ** (2.0 / 3.0),
-                                        gamma=gamma, z_at_max=z_at))
-    curve = DispersionCurve(flow="wave", d=d, samples=samples,
-                            meta={"stationary_rho_inside_window": interior})
-    _spot_check(curve, spot, tol)
+        interior.append(rho_lo <= rho_at <= rho_hi)
+    curve.meta["stationary_rho_inside_window"] = interior
     return curve.fit(mu_min=4.0)
 
 

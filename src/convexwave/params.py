@@ -33,9 +33,10 @@ def _as_fraction(x) -> Fraction:
 def reflection_count(h: float, delta: float) -> int:
     """Number of reflections tiling [0, 1] at the cusp period ~ 4*sqrt(a).
 
-    Returns floor(1/(4 sqrt(a))) or that plus one, selected by the fractional
-    part of 1/(4 sqrt(a)): the rounding that keeps the final backward boundary
-    trace outside the unit time interval.
+    Returns 1/(4 sqrt(a)) rounded to the nearest integer, which guarantees
+    |4 N sqrt(a) - 1| <= 2 sqrt(a).  It does not keep the final backward
+    boundary trace Tr_-(u^N) outside the unit time interval: at h = 2^-18 three
+    of its 16 sampled times lie in [0, 1] (``dirichlet_residual``'s ``edges``).
     """
     if not 0.0 < h <= 1.0:
         raise ParameterError(f"h must lie in (0, 1], got {h}")

@@ -9,12 +9,15 @@ import pytest
 from convexwave.airy import (
     _LEADING,
     _UK,
+    BLEND_HI,
+    BLEND_LO,
     AiryError,
     AiryTable,
+    _blend_weight,
+    _taylor_core,
     ai,
     airy_branch,
     airy_zeros,
-    branch_expansion,
     calibrate_branch_leading,
 )
 from conftest import maclaurin_airy
@@ -121,13 +124,39 @@ def test_split_error_decay_exponent():
 
 
 def test_branch_expansion_metadata():
-    exp_p = branch_expansion(+1, 3)
-    exp_m = branch_expansion(-1, 3)
-    assert exp_p.coefficients[0] == exp_m.coefficients[0] == 1.0 + 0.0j
     cal = calibrate_branch_leading()
     assert cal["fitted"] == pytest.approx(cal["classical"], rel=1e-6)
     # the alternative printed constant differs by a factor 2 pi; recorded, not used
     assert cal["alternative"] == pytest.approx(cal["classical"] / (2.0 * math.pi), rel=1e-12)
+
+
+def _asym_pos_former_loop(z):
+    """Ai(z) for z >= 7.6 by the decaying expansion's own adaptive loop, as it was
+    written before it shared the branch series."""
+    big_x = (2.0 / 3.0) * z**1.5
+    s = np.ones_like(z)
+    term = np.ones_like(z)
+    active = np.ones(z.shape, dtype=bool)
+    last = np.full(z.shape, np.inf)
+    for k in range(1, _UK.size):
+        term = term * (-_UK[k] / _UK[k - 1]) / big_x
+        mag = np.abs(term)
+        active &= mag < last
+        s = np.where(active, s + term, s)
+        last = np.where(active, mag, last)
+    return _LEADING * z**-0.25 * np.exp(-big_x) * s
+
+
+def test_positive_axis_bit_equal_to_former_asymptotic_loop():
+    # ai on [7.6, 400]: the former loop alone past the blend window, blended
+    # with the Taylor core inside it
+    z = np.linspace(BLEND_LO, 400.0, 40001)
+    core = np.zeros_like(z)
+    asym = np.zeros_like(z)
+    core[z < BLEND_HI] = _taylor_core(z[z < BLEND_HI])
+    asym[z > BLEND_LO] = _asym_pos_former_loop(z[z > BLEND_LO])
+    w = _blend_weight(z)
+    np.testing.assert_array_equal(ai(z), (1.0 - w) * core + w * asym)
 
 
 def test_airy_table_matches_direct(rng):

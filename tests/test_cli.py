@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import convexwave.cli as cli
 from convexwave.cli import main
 
 
@@ -158,6 +159,41 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
     assert run(["dispersion", "--config", cfg, "--out", out]) == 2
     assert capsys.readouterr().err == "error: unknown flow 'x'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["dispersion", "--lambda-min", 0.5], None),
+    (["dispersion", "--h-min", 0], None),
+    (["gallery", "--h-min", -1e-4], None),
+    (["dispersion"], {"dispersion": {"win_inner": 0.5, "win_outer": 0.5}}),
+    (["gallery"], {"gallery": {"r": "abc"}}),
+], ids=["lambda_min_below_1", "h_min_zero", "h_min_negative", "window_inner_not_below_outer", "gallery_r_not_a_number"])
+def test_bad_input_is_usage_error_before_output(tmp_path, capsys, argv, config):
+    out = tmp_path / "bad"
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", cfg]
+    assert run(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_value_error_inside_a_computation_is_not_numeric_exit(tmp_path, monkeypatch):
+    # only the library's own error types are numeric-validity failures (exit 3)
+    def broken(count):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(cli, "airy_zeros", broken)
+    with pytest.raises(ValueError, match="a programming error"):
+        run(["airy", "--count", 3, "--out", tmp_path / "a"])
+
+
+def test_threads_only_on_commands_that_read_it(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["airy", "--threads", 2, "--out", tmp_path / "a"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "a").exists()
 
 
 def test_report_summarizes_run(tmp_path, capsys):

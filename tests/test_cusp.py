@@ -483,6 +483,19 @@ def test_dirichlet_residual_builds_no_trace_without_times(monkeypatch):
     assert built == []
 
 
+def test_dirichlet_residual_reports_edge_windows():
+    # Tr_-(u^N) reaches into [0, 1] at h=2^-18 but keeps no time at 2^-20
+    for e, inside in ((18, True), (20, False)):
+        params = make_params(2.0**-e, 0.1, 0.25)
+        out = dirichlet_residual(params)
+        first, last = out["edges"]
+        assert (first["n"], last["n"]) == (-1, params.n_reflections)
+        assert first["n_times"] > 0 and first["l2"] > 0.0
+        assert (last["n_times"] > 0) is inside
+        assert (last["l2"] > 0.0) is inside
+        assert [w["n"] for w in out["windows"]] == list(range(params.n_reflections))
+
+
 def test_dirichlet_residual_sums_every_trace_with_one_weighting():
     # pair sums, edge traces and the scale are all plain sum_t sum_y |.|^2 dy
     # over 16 times per window; the edge traces carry no extra time step
@@ -621,7 +634,7 @@ def _uh_mixed_norms_by_time(params, q, r, samples_per_sqrt_a):
         inner[i] = grid_lr_norm(vals, fld.x, fld.y, r)
         if i == 0:
             l2_initial = grid_lr_norm(vals, fld.x, fld.y, 2)
-    lqlr = lqlr_norm(inner, float(q), r, times=times)
+    lqlr = lqlr_norm(inner, times, float(q))
     if k_chk is not None and not checks:
         third_cusp_check()
     return {

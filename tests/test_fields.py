@@ -80,18 +80,3 @@ def test_trapezoid_weights_integrate_linear():
     w = trapezoid_weights(x)
     assert w.sum() == pytest.approx(2.0)
     assert np.dot(w, x) == pytest.approx(2.0)  # integral of x over [0,2]
-
-
-def test_field_save_load_roundtrip(tmp_path):
-    from convexwave.fields import load_field, save_field
-
-    y = np.linspace(-1.0, 1.0, 64)
-    x = np.linspace(0.0, 0.5, 7)
-    vals = (np.random.default_rng(1).normal(size=(7, 64))
-            + 1j * np.random.default_rng(2).normal(size=(7, 64)))
-    fld = WaveField(values=vals, x=x, y=y, h=0.01, t=0.25, meta={"y_center": 0.0})
-    save_field(fld, tmp_path / "field")
-    back = load_field(tmp_path / "field")
-    assert np.array_equal(back.values, fld.values)
-    assert np.allclose(back.y, fld.y)
-    assert back.h == fld.h and back.t == fld.t

@@ -202,14 +202,16 @@ def test_wave_gallery_quotient_no_worse_than_free():
     assert res.fitted_exponent >= free_exponent - 0.05
 
 
-def test_halfwave_exp_variant_is_unimodular(small_setup):
+def test_halfwave_multiplier_is_the_cosine_propagator(small_setup):
     h, _, _, spec = small_setup
     eta = spec.grid.eta[np.abs(spec.grid.eta) > 0.5]
-    exp_flow = TransverseFlow("halfwave_exp", spec.omega_k, h)
-    cos_flow = TransverseFlow("halfwave", spec.omega_k, h)
-    m_exp = exp_flow.multiplier(0.2, eta)
-    assert np.max(np.abs(np.abs(m_exp) - 1.0)) < 1e-14
-    assert np.allclose(cos_flow.multiplier(0.2, eta), m_exp.real)
+    t = 0.2
+    g_w = np.sqrt(eta**2 + spec.omega_k * h ** (2.0 / 3.0) * np.abs(eta) ** (4.0 / 3.0))
+    mult = TransverseFlow("halfwave", spec.omega_k, h).multiplier(t, eta)
+    assert mult.dtype == complex and not mult.imag.any()
+    np.testing.assert_allclose(mult.real, np.cos(t * g_w / h), rtol=0.0, atol=1e-12)
+    with pytest.raises(GalleryError, match="unknown flow kind"):
+        TransverseFlow("halfwave_exp", spec.omega_k, h)
 
 
 def _reference_quotient(flow_kind, data, q, r, t_window, h, n_t):
@@ -247,7 +249,7 @@ def _reference_quotient(flow_kind, data, q, r, t_window, h, n_t):
         inner[it] = grid_lr_norm(vals, x, grid.y, r)
         if it == 0:
             l2_0 = grid_lr_norm(vals, x, grid.y, 2)
-    lqlr = lqlr_norm(inner, q, r, times=times)
+    lqlr = lqlr_norm(inner, times, q)
     return lqlr, l2_0, lqlr / l2_0
 
 

@@ -77,27 +77,25 @@ def test_grid_lr_norm_rejects_nan_in_imaginary_part():
 
 def test_lqlr_single_slice_needs_inf():
     fld = unit_square_field(np.ones((4, 5)))
-    assert lqlr_norm([fld], math.inf, 2) == pytest.approx(lr_norm(fld, 2))
+    assert lqlr_norm([lr_norm(fld, 2)], [0.0], math.inf) == pytest.approx(lr_norm(fld, 2))
     with pytest.raises(NormError):
-        lqlr_norm([fld], 6, 2)
+        lqlr_norm([lr_norm(fld, 2)], [0.0], 6)
 
 
 def test_lqlr_time_constant_field():
     fld = unit_square_field(np.ones((4, 5)))
-    fields = [unit_square_field(np.ones((4, 5))) for _ in range(9)]
-    for i, f in enumerate(fields):
-        f.t = 0.25 * i
+    times = 0.25 * np.arange(9)
     q = 3.0
-    val = lqlr_norm(fields, q, 2)
+    val = lqlr_norm([lr_norm(fld, 2)] * times.size, times, q)
     assert val == pytest.approx(2.0 ** (1.0 / q) * lr_norm(fld, 2), rel=1e-12)
 
 
 def test_lqlr_window_sampling_guard():
-    fields = [unit_square_field(np.ones((4, 5))) for _ in range(5)]
-    for i, f in enumerate(fields):
-        f.t = 0.1 * i
+    times = 0.1 * np.arange(5)
     with pytest.raises(NormError, match="window"):
-        lqlr_norm(fields, 2, 2, window_duration=0.2)
+        lqlr_norm(np.ones(times.size), times, 2, window_duration=0.2)
+    with pytest.raises(NormError, match="length mismatch"):
+        lqlr_norm(np.ones(4), times, 2)
 
 
 def test_fit_exponent_exact_powers():
