@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .airy import AiryError, airy_zeros, calibrate_branch_leading
 from .fields import FrequencyWindow
-from .gallery import GalleryError, strichartz_quotient
+from .gallery import DATA_KINDS, FLOW_KINDS, GalleryError, strichartz_quotient
 from .oscillatory import GridCoverageError, QuadratureError, gamma_schrodinger, gamma_wave, pool_curves
 from .params import ParameterError, make_params, sharp_schrodinger_q, sharp_wave_q
 from .cusp import CuspError, PhaseSpacePoint, billiard_iterate, boundary_residual, cusp_field
@@ -35,6 +35,7 @@ UNRELIABLE_EXIT = 4
 
 _NUMERIC_ERRORS = (ParameterError, AiryError, QuadratureError, GridCoverageError,
                    GalleryError, CuspError, NormError)
+_SIGNS = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}  # billiard sign spellings
 
 
 class _UsageError(Exception):
@@ -194,6 +195,10 @@ def cmd_gallery(args) -> int:
     flow = cfg.get("flow", "schrodinger")
     data = cfg.get("data", "coherent")
     with _config_values():
+        if flow not in FLOW_KINDS:
+            raise ValueError(f"unknown flow kind {flow!r}")
+        if data not in DATA_KINDS:
+            raise ValueError(f"unknown data kind {data!r}")
         k_mode = int(cfg.get("k", 0))
         r = float(cfg.get("r", 6.0))
         if cfg.get("q") is not None:
@@ -215,6 +220,9 @@ def cmd_gallery(args) -> int:
         "flow": flow, "data": data, "k": k_mode, "q": q, "r": r,
         "fitted_exponent": res.fitted_exponent, "stderr": res.stderr,
         "reliable": res.reliable,
+        # the synthesis shortcuts, each at its worst over h
+        **{key: max(row[key] for row in res.meta["rows"])
+           for key in ("rank", "rank_residual", "screen_bound", "kept_share")},
     }, manifest.hash)
     manifest.write(outdir)
     return 0
@@ -289,7 +297,9 @@ def cmd_billiard(args) -> int:
                                 eta=float(cfg.get("eta", 1.0)), tau=float(cfg.get("tau", 1.5)))
         n = int(cfg.get("n", 1))
         manifest = Manifest(cfg, int(cfg.get("seed", 0)))
-    sign = +1 if str(cfg.get("sign", "+")) in ("+", "+1", "1") else -1
+        sign = _SIGNS.get(str(cfg.get("sign", "+")))
+        if sign is None:
+            raise ValueError(f"sign must be one of {', '.join(_SIGNS)}, got {cfg['sign']!r}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [(0, point.y, point.t, point.eta, point.tau)]
@@ -348,11 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gallery", help="gallery-mode Strichartz quotients")
     common(p)
-    p.add_argument("--flow", choices=["schrodinger", "halfwave"])
+    p.add_argument("--flow", choices=FLOW_KINDS)
     p.add_argument("--k", type=int)
     p.add_argument("--q", type=float)
     p.add_argument("--r", type=float)
-    p.add_argument("--data", choices=["coherent", "gaussian"])
+    p.add_argument("--data", choices=DATA_KINDS)
     p.add_argument("--h-min", type=float)
     p.add_argument("--h-max", type=float)
     p.add_argument("--h-steps", type=int)

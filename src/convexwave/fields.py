@@ -128,16 +128,6 @@ class WaveField:
     def dy(self) -> float:
         return float(self.y[1] - self.y[0])
 
-    def x_mass_fraction_beyond(self, x_cut: float) -> float:
-        """Share of the L2 mass |u|^2 at x > x_cut (0 for a zero field)."""
-        wx = trapezoid_weights(self.x)
-        profile = (np.abs(self.values) ** 2) @ trapezoid_weights(self.y)
-        total = float(profile @ wx)
-        if total == 0.0:
-            return 0.0
-        sel = self.x > x_cut
-        return float((profile[sel] @ wx[sel]) / total)
-
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     """Weights of the trapezoid rule on a (possibly nonuniform) grid."""

@@ -16,12 +16,16 @@ import numpy as np
 
 from .airy import ai, airy_zeros
 from .fields import FrequencyWindow, TransverseGrid, WaveField, make_transverse_grid, trapezoid_weights
-from .normlab import NormScanResult, fit_exponent, grid_lr_norm, lqlr_norm, lr_norm
+from .normlab import NormScanResult, fit_exponent, lqlr_norm, lr_norm, lr_power
 from .oscillatory import g_schrodinger, g_wave
 
 
 class GalleryError(ValueError):
     pass
+
+
+DATA_KINDS = ("coherent", "gaussian")  # initial envelopes of the quotient scan
+FLOW_KINDS = ("schrodinger", "halfwave")  # transverse flows
 
 
 def eigenvalue(k: int, eta: float) -> float:
@@ -67,7 +71,7 @@ class TransverseFlow:
     h: float
 
     def __post_init__(self):
-        if self.kind not in ("schrodinger", "halfwave"):
+        if self.kind not in FLOW_KINDS:
             raise GalleryError(f"unknown flow kind {self.kind!r}")
 
     def symbol(self, eta):
@@ -111,6 +115,8 @@ def default_x_grid(spec: GalleryModeSpec, n_x: int = 160) -> np.ndarray:
 
 
 _ACTIVE_TOL = 1e-13  # eta columns below this share of the spectrum's peak are dropped
+_RANK_TOL = 1e-14  # largest Frobenius share of the Airy rows' singular values left out
+_SCREEN_TOL = 1e-12  # largest share of an L^r power that the screen may leave out
 _TAIL_TOL = 0.01  # largest share of the L2 mass allowed beyond 0.9 X
 _WINDOW = FrequencyWindow()
 
@@ -120,11 +126,13 @@ class _ModeSynthesis:
 
     Built once per (spec, x): the x-grid must reach past the Airy turning
     point (X >= 3 omega_k h^{2/3}).  Only the eta columns where the windowed
-    spectrum exceeds 1e-13 of its peak are kept; on them the rows
-    Ai(|eta|^{2/3} x / h^{2/3} - omega_k) * spectrum and the grid phase are
-    stored.  Each call multiplies the rows by (mult * phase), checks the share
-    of L2 mass beyond 0.9 X by Parseval on those columns, zero-fills the
-    others and runs one inverse FFT along y.
+    spectrum exceeds 1e-13 of its peak are kept.  The rows
+    Ai(|eta|^{2/3} x / h^{2/3} - omega_k) * spectrum on them are stored as a
+    truncated SVD ``basis (n_x, k) @ coef (k, n_act)``, with the grid phase in
+    ``coef``; k is the smallest rank whose discarded singular values hold at
+    most 1e-14 of the Frobenius norm (``rank_residual``).  ``profiles`` runs k
+    inverse FFTs along y, after checking the share of L2 mass beyond 0.9 X by
+    Parseval; the mode is ``basis @ profiles``.
     """
 
     def __init__(self, spec: GalleryModeSpec, x: np.ndarray | None = None):
@@ -139,24 +147,93 @@ class _ModeSynthesis:
         self.active = mod > _ACTIVE_TOL * (mod.max() or 1.0)
         self.eta = self.grid.eta[self.active]
         args = np.abs(self.eta)[None, :] ** (2.0 / 3.0) * x[:, None] / spec.h ** (2.0 / 3.0) - spec.omega_k
-        self.rows = ai(args.ravel()).reshape(args.shape) * spectrum[self.active][None, :]
-        self.phase = np.exp(1j * self.grid.y[0] * self.grid.xi[self.active])
+        rows = ai(args.ravel()).reshape(args.shape) * spectrum[self.active][None, :]
+        u, s, vh = np.linalg.svd(rows, full_matrices=False)
+        tail = np.append(np.sqrt(np.cumsum(s[::-1] ** 2))[::-1], 0.0)  # tail[i]: norm of s[i:]
+        share = tail / (tail[0] or 1.0)
+        self.rank = int(np.argmax(share <= _RANK_TOL))
+        self.rank_residual = float(share[self.rank])
+        self.basis = u[:, :self.rank] * s[:self.rank]
+        self.coef = vh[:self.rank] * np.exp(1j * self.grid.y[0] * self.grid.xi[self.active])
+        self._beta = np.linalg.norm(self.basis, axis=1)  # |u(x, y)| <= beta_x |profiles[:, y]|
         self._wx = trapezoid_weights(x)
+        self._wy = trapezoid_weights(self.grid.y)
         self._beyond = x > 0.9 * x[-1]
         self.x_tail_fraction = 0.0  # largest tail share over all calls so far
+        self.screen_bound = 0.0  # largest dropped-bound / kept-integral ratio of ``screened_lr_norm``
+        self._kept_samples = self._samples = 0  # (x, y) samples summed and screened so far
 
-    def __call__(self, mult) -> np.ndarray:
-        """Samples (x, y) of the mode with ``mult`` (scalar or one per active eta) applied."""
-        cols = self.rows * (mult * self.phase)[None, :]
-        power = (np.abs(cols) ** 2).sum(axis=1)  # y-mass of each x-row, up to a constant
+    @property
+    def kept_share(self) -> float:
+        """Share of the (x, y) samples that ``screened_lr_norm`` has summed over all calls."""
+        return self._kept_samples / self._samples if self._samples else 0.0
+
+    def profiles(self, mult) -> np.ndarray:
+        """The k y-profiles (k, n_y) with ``mult`` (scalar or one per active eta) applied."""
+        cols = self.coef * mult
+        gram = cols @ cols.conj().T
+        power = ((self.basis @ gram) * self.basis.conj()).sum(axis=1).real  # y-mass of each x-row
         total = float(power @ self._wx)
         tail = float(power[self._beyond] @ self._wx[self._beyond]) / total if total else 0.0
         self.x_tail_fraction = max(self.x_tail_fraction, tail)
         if tail > _TAIL_TOL:
             raise GalleryError(f"x-grid too short: tail mass fraction {tail:.2e} beyond 0.9 X")
-        full = np.zeros((self.x.size, self.grid.y.size), dtype=complex)
+        full = np.zeros((self.rank, self.grid.y.size), dtype=complex)
         full[:, self.active] = cols
         return np.fft.ifft(full, axis=1) / self.grid.dy
+
+    def __call__(self, mult) -> np.ndarray:
+        """Samples (x, y) of the mode with ``mult`` (scalar or one per active eta) applied."""
+        return self.basis @ self.profiles(mult)
+
+    def screened_lr_norm(self, profiles: np.ndarray, r) -> float:
+        """L^r norm of ``basis @ profiles``, summed only where the mode lives.
+
+        With |u(x, y)| <= beta_x c_y (Cauchy-Schwarz, c_y = |profiles[:, y]|),
+        the rows and the columns with the smallest bounds are dropped while
+        each family's accumulated bound on its dropped r-th power stays below
+        1e-12 / 2 of I0, the exact sum over the core (beta and c at least half
+        their peak).  The kept rectangle must hold the core, so the result's
+        r-th power is exact to 1e-12 of itself.  For r = inf each dropped
+        bound stays below half the core's peak, and the max is exact.
+        """
+        beta, c = self._beta, np.linalg.norm(profiles, axis=0)
+        wx, wy = self._wx, self._wy
+
+        def power(keep_x, keep_y):
+            return lr_power(self.basis[keep_x] @ profiles[:, keep_y], wx[keep_x], wy[keep_y], r)
+
+        core_x, core_y = beta >= 0.5 * beta.max(initial=0.0), c >= 0.5 * c.max(initial=0.0)
+        i0 = power(core_x, core_y)
+        if r == math.inf:
+            rows, cols = beta * c.max(initial=0.0), beta.max(initial=0.0) * c
+            accumulate, allowance = np.maximum.accumulate, 0.5 * i0
+        else:
+            rows, cols = wx * beta**r, wy * c**r
+            rows, cols = rows * cols.sum(), cols * rows.sum()
+            accumulate, allowance = np.cumsum, 0.5 * _SCREEN_TOL * i0
+        (keep_x, dropped_x), (keep_y, dropped_y) = (_screen(b, accumulate, allowance) for b in (rows, cols))
+        if (core_x & ~keep_x).any() or (core_y & ~keep_y).any():
+            raise GalleryError("L^r screen dropped part of the core rectangle")
+        kept = power(keep_x, keep_y)
+        if r != math.inf and kept:
+            self.screen_bound = max(self.screen_bound, (dropped_x + dropped_y) / kept)
+        self._kept_samples += int(keep_x.sum()) * int(keep_y.sum())
+        self._samples += keep_x.size * keep_y.size
+        return kept if r == math.inf else kept ** (1.0 / r)
+
+
+def _screen(bounds: np.ndarray, accumulate, allowance: float) -> tuple[np.ndarray, float]:
+    """Mask keeping all but the smallest ``bounds`` whose accumulated bound stays below ``allowance``.
+
+    Returns the mask and the accumulated bound of what it drops (NaN bounds are kept).
+    """
+    order = np.argsort(bounds, kind="stable")
+    running = accumulate(bounds[order])
+    n_drop = int(np.count_nonzero(running < allowance))
+    keep = np.ones(bounds.size, dtype=bool)
+    keep[order[:n_drop]] = False
+    return keep, float(running[n_drop - 1]) if n_drop else 0.0
 
 
 def gallery_mode(spec: GalleryModeSpec, x: np.ndarray | None = None) -> WaveField:
@@ -218,6 +295,8 @@ def norm_equivalence(k: int, h: float, envelope: np.ndarray, grid: TransverseGri
 
 
 def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float, n_t: int) -> dict:
+    if data not in DATA_KINDS:
+        raise GalleryError(f"unknown data kind {data!r}")
     t0, t1 = t_window
     # spatial window wide enough for the transported packet plus spreading
     if flow_kind == "schrodinger":
@@ -229,10 +308,8 @@ def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float,
                                 oversample=1.6)
     if data == "coherent":
         envelope = coherent_state(1.0, h, grid)
-    elif data == "gaussian":
-        envelope = np.exp(1j * grid.y / h - grid.y**2 / 2.0)
     else:
-        raise GalleryError(f"unknown data kind {data!r}")
+        envelope = np.exp(1j * grid.y / h - grid.y**2 / 2.0)
     spec = make_mode_spec(k, h, envelope, grid, window=_WINDOW)
     flow = TransverseFlow(kind=flow_kind, omega=spec.omega_k, h=h)
     synth = _ModeSynthesis(spec, default_x_grid(spec, n_x=120))
@@ -241,13 +318,15 @@ def _quotient_one_h(flow_kind: str, data: str, k: int, q, r, t_window, h: float,
     inner = np.empty(n_t)
     l2_0 = None
     for it, t in enumerate(times):
-        vals = synth(flow.multiplier(t, synth.eta))
-        inner[it] = grid_lr_norm(vals, synth.x, grid.y, r)
+        profiles = synth.profiles(flow.multiplier(t, synth.eta))
+        inner[it] = synth.screened_lr_norm(profiles, r)
         if it == 0:
-            l2_0 = grid_lr_norm(vals, synth.x, grid.y, 2)
+            l2_0 = synth.screened_lr_norm(profiles, 2)
     lqlr = lqlr_norm(inner, times, q)
     return {"h": h, "lqlr": lqlr, "l2_initial": l2_0, "quotient": lqlr / l2_0,
-            "n_y": grid.y.size, "n_x": synth.x.size, "x_tail_fraction": synth.x_tail_fraction}
+            "n_y": grid.y.size, "n_x": synth.x.size, "x_tail_fraction": synth.x_tail_fraction,
+            "rank": synth.rank, "rank_residual": synth.rank_residual,
+            "screen_bound": synth.screen_bound, "kept_share": synth.kept_share}
 
 
 def strichartz_quotient(flow_kind: str, data: str, q, r, t_window, h_list, *, k: int = 0,
@@ -257,7 +336,10 @@ def strichartz_quotient(flow_kind: str, data: str, q, r, t_window, h_list, *, k:
     ``data`` is 'coherent' (the optimality packet) or 'gaussian' (an O(1)
     envelope at frequency 1/h).  The time integral uses ``n_t`` uniform
     samples of exact multiplier evolutions.  Each meta row records
-    ``x_tail_fraction``, the largest L2 share beyond 0.9 X over its slices.
+    ``x_tail_fraction``, the largest L2 share beyond 0.9 X over its slices,
+    and the synthesis shortcuts: the Airy rows' ``rank`` and ``rank_residual``,
+    and the L^r screen's largest ``screen_bound`` and its ``kept_share`` of
+    the (x, y) samples.
     """
     q = float(q)
     r = float(r) if r != math.inf else math.inf

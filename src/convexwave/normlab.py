@@ -22,6 +22,12 @@ class NormError(ValueError):
 
 def grid_lr_norm(values: np.ndarray, x: np.ndarray, y: np.ndarray, r) -> float:
     """L^r norm of samples on an (x, y) rectangle; r = inf returns the max."""
+    acc = lr_power(values, trapezoid_weights(x), trapezoid_weights(y), r)
+    return acc if r == math.inf else acc ** (1.0 / r)
+
+
+def lr_power(values: np.ndarray, wx: np.ndarray, wy: np.ndarray, r) -> float:
+    """sum_ij wx_i |values_ij|^r wy_j, the r-th power of the L^r norm; r = inf returns the max."""
     mod = np.abs(values)
     if not np.isfinite(mod).all():
         raise NormError("non-finite field samples")
@@ -29,10 +35,7 @@ def grid_lr_norm(values: np.ndarray, x: np.ndarray, y: np.ndarray, r) -> float:
         return float(mod.max(initial=0.0))
     if r < 1:
         raise NormError(f"r must be >= 1, got {r}")
-    wx = trapezoid_weights(x)
-    wy = trapezoid_weights(y)
-    acc = float(np.einsum("i,ij,j->", wx, power_in_place(mod, r), wy))
-    return acc ** (1.0 / r)
+    return float(np.einsum("i,ij,j->", wx, power_in_place(mod, r), wy))
 
 
 def power_in_place(mod: np.ndarray, r) -> np.ndarray:

@@ -46,6 +46,27 @@ def test_billiard_trajectory_and_identity(tmp_path):
     assert float(first[1]) == 0.0  # n = 0 echoes the input point
 
 
+@pytest.mark.parametrize("sign, flag", [("+", "+"), ("+1", "+"), (1, "+"), ("-", "-"), (-1, "-")])
+def test_billiard_config_sign_spellings(tmp_path, sign, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"billiard": {"sign": sign, "tau": math.sqrt(2.0)}}))
+    assert run(["billiard", "--config", cfg, "--out", tmp_path / "c"]) == 0
+    for f in "+-":
+        assert run(["billiard", "--sign", f, "--tau", math.sqrt(2.0), "--out", tmp_path / f]) == 0
+    rows = {p: (tmp_path / p / "billiard.csv").read_text().splitlines()[2:] for p in ("c", "+", "-")}
+    assert rows["+"] != rows["-"]
+    assert rows["c"] == rows[flag]
+
+
+def test_billiard_unknown_config_sign_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"billiard": {"sign": "x"}}))
+    out = tmp_path / "b"
+    assert run(["billiard", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: sign must be one of +, +1, 1, -, -1, got 'x'\n"
+    assert not out.exists()
+
+
 def test_billiard_gliding_exit_code(tmp_path):
     assert run(["billiard", "--eta", 1.0, "--tau", 0.5, "--out", tmp_path / "g"]) == 3
 
@@ -145,6 +166,18 @@ def test_empty_h_grid_is_usage_error(tmp_path, command):
     assert not out.exists()
 
 
+def test_gallery_fit_reports_worst_shortcuts(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gallery": {"h_max": 2.0**-8, "h_min": 2.0**-9, "h_steps": 2, "t_steps": 3}}))
+    out = tmp_path / "g"
+    assert run(["gallery", "--config", cfg, "--out", out]) == 0
+    fit = json.loads((out / "gallery_fit.json").read_text())
+    assert 0 < fit["rank"] <= 12
+    assert fit["rank_residual"] <= 1e-14
+    assert fit["screen_bound"] <= 1e-12
+    assert 0.0 < fit["kept_share"] < 1.0
+
+
 def test_gallery_negative_mode_is_usage_error(tmp_path, capsys):
     out = tmp_path / "g"
     assert run(["gallery", "--k", -1, "--out", out]) == 2
@@ -167,7 +200,10 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
     (["gallery", "--h-min", -1e-4], None),
     (["dispersion"], {"dispersion": {"win_inner": 0.5, "win_outer": 0.5}}),
     (["gallery"], {"gallery": {"r": "abc"}}),
-], ids=["lambda_min_below_1", "h_min_zero", "h_min_negative", "window_inner_not_below_outer", "gallery_r_not_a_number"])
+    (["gallery"], {"gallery": {"data": "x", "h_steps": 1}}),
+    (["gallery"], {"gallery": {"flow": "x", "h_steps": 1}}),
+], ids=["lambda_min_below_1", "h_min_zero", "h_min_negative", "window_inner_not_below_outer",
+        "gallery_r_not_a_number", "gallery_unknown_data", "gallery_unknown_flow"])
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, argv, config):
     out = tmp_path / "bad"
     if config is not None:

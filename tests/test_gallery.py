@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from convexwave.airy import ai, airy_zeros
-from convexwave.fields import FrequencyWindow, WaveField, make_transverse_grid
+from convexwave.fields import FrequencyWindow, make_transverse_grid, trapezoid_weights
 from convexwave.gallery import (
     GalleryError,
     TransverseFlow,
@@ -214,14 +214,12 @@ def test_halfwave_multiplier_is_the_cosine_propagator(small_setup):
         TransverseFlow("halfwave_exp", spec.omega_k, h)
 
 
-def _reference_quotient(flow_kind, data, q, r, t_window, h, n_t):
-    """(lqlr, l2_initial, quotient) from the quotient's former own loop.
+LEGS = [("schrodinger", "coherent"), ("halfwave", "gaussian")]
 
-    Its own active mask, grid phase, zero-fill and inverse FFT, as the quotient
-    computed them before it shared the mode synthesis.
-    """
+
+def _quotient_mode(flow_kind, data, h, t1=0.3):
+    """(grid, spec, flow, x) as the quotient builds them for one h."""
     window = FrequencyWindow()
-    t0, t1 = t_window
     if flow_kind == "schrodinger":
         y_lo, y_hi = -0.8, (2.0 + 2.0 * window.outer_halfwidth) * t1 + 0.8
     else:
@@ -234,7 +232,17 @@ def _reference_quotient(flow_kind, data, q, r, t_window, h, n_t):
         envelope = np.exp(1j * grid.y / h - grid.y**2 / 2.0)
     spec = make_mode_spec(0, h, envelope, grid, window=window)
     flow = TransverseFlow(kind=flow_kind, omega=airy_zeros(1)[0], h=h)
-    x = default_x_grid(spec, n_x=120)
+    return grid, spec, flow, default_x_grid(spec, n_x=120)
+
+
+def _reference_quotient(flow_kind, data, q, r, t_window, h, n_t):
+    """(lqlr, l2_initial, quotient) from a dense loop over the full Airy rows.
+
+    Its own active mask, grid phase, zero-fill of all n_x rows and inverse FFT,
+    and grid_lr_norm over the whole (x, y) rectangle.
+    """
+    t0, t1 = t_window
+    grid, spec, flow, x = _quotient_mode(flow_kind, data, h, t1)
     arg = np.abs(grid.eta)[None, :] ** (2.0 / 3.0) * x[:, None] / h ** (2.0 / 3.0) - spec.omega_k
     base = spec.windowed_spectrum
     active = np.abs(base) > 1e-13 * np.abs(base).max()
@@ -253,15 +261,66 @@ def _reference_quotient(flow_kind, data, q, r, t_window, h, n_t):
     return lqlr, l2_0, lqlr / l2_0
 
 
-@pytest.mark.parametrize("flow_kind, data", [("schrodinger", "coherent"), ("halfwave", "gaussian")])
-def test_quotient_bit_identical_to_reference_loop(flow_kind, data):
+@pytest.mark.parametrize("flow_kind, data", LEGS)
+def test_quotient_matches_dense_reference_loop(flow_kind, data):
     hs = [2.0**-8, 2.0**-10]
     res = strichartz_quotient(flow_kind, data, 3, 6, (0.0, 0.3), hs, n_t=5)
     for h, row, (_, quotient) in zip(hs, res.meta["rows"], res.samples):
         lqlr, l2_0, ref = _reference_quotient(flow_kind, data, 3.0, 6.0, (0.0, 0.3), h, 5)
-        assert row["lqlr"] == lqlr
-        assert row["l2_initial"] == l2_0
-        assert quotient == ref
+        assert row["lqlr"] == pytest.approx(lqlr, rel=1e-12)
+        assert row["l2_initial"] == pytest.approx(l2_0, rel=1e-12)
+        assert quotient == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("flow_kind, data", LEGS)
+def test_screened_norm_matches_dense_field(flow_kind, data):
+    grid, spec, flow, x = _quotient_mode(flow_kind, data, 2.0**-11)
+    synth = _ModeSynthesis(spec, x)
+    for t in (0.0, 0.15, 0.3):
+        profiles = synth.profiles(flow.multiplier(t, synth.eta))
+        dense = synth.basis @ profiles
+        for r in (2, 3, 6, 8, 4.5, math.inf):
+            reference = grid_lr_norm(dense, x, grid.y, r)
+            assert synth.screened_lr_norm(profiles, r) == pytest.approx(reference, rel=1e-12)
+    assert 0.0 < synth.screen_bound <= 1e-12
+    assert 0.0 < synth.kept_share < 1.0  # every reduction left part of the rectangle out
+
+
+@pytest.mark.parametrize("flow_kind, data", LEGS)
+def test_quotient_rows_report_rank_and_screen(flow_kind, data):
+    res = strichartz_quotient(flow_kind, data, 3, 6, (0.0, 0.3), [2.0**-e for e in range(8, 14)], n_t=5)
+    for row in res.meta["rows"]:
+        assert 0 < row["rank"] <= 12  # out of n_x = 120 rows
+        assert row["rank_residual"] <= 1e-14
+        assert row["screen_bound"] <= 1e-12
+        assert 0.0 < row["kept_share"] < 1.0
+
+
+def test_screen_keeps_the_core_rectangle():
+    # a zero-weight column at the profiles' peak has a zero bound, so the screen
+    # would drop it from the core: it refuses instead of trusting the bound
+    grid, spec, flow, x = _quotient_mode("schrodinger", "coherent", 2.0**-9)
+    synth = _ModeSynthesis(spec, x)
+    profiles = synth.profiles(flow.multiplier(0.1, synth.eta))
+    synth._wy = synth._wy.copy()
+    synth._wy[np.linalg.norm(profiles, axis=0).argmax()] = 0.0
+    with pytest.raises(GalleryError, match="core"):
+        synth.screened_lr_norm(profiles, 6)
+
+
+def test_zero_envelope_and_short_grid_guards(small_setup):
+    h, grid, phi, spec = small_setup
+    zero = _ModeSynthesis(make_mode_spec(0, h, np.zeros_like(phi), grid))
+    assert zero.rank == 0 and zero.rank_residual == 0.0
+    profiles = zero.profiles(1.0)
+    assert profiles.shape == (0, grid.y.size)
+    assert not zero(1.0).any() and zero(1.0).shape == (zero.x.size, grid.y.size)
+    assert zero.screened_lr_norm(profiles, 6) == 0.0 and zero.x_tail_fraction == 0.0
+    with pytest.raises(GalleryError, match="zero envelope"):
+        norm_equivalence(0, h, np.zeros_like(phi), grid, 2)
+    short = np.linspace(0.0, 1.5 * spec.omega_k * h ** (2.0 / 3.0), 40)
+    with pytest.raises(GalleryError, match="x-grid too short"):
+        _ModeSynthesis(spec, short)
 
 
 def _near_zero_mode():
@@ -287,7 +346,10 @@ def test_parseval_tail_matches_field_tail():
     x = 1.2 * default_x_grid(spec)
     synth = _ModeSynthesis(spec, x)
     vals = synth(flow.multiplier(0.1, synth.eta))
-    field_tail = WaveField(values=vals, x=x, y=spec.grid.y, h=spec.h, t=0.1).x_mass_fraction_beyond(0.9 * x[-1])
+    profile = (np.abs(vals) ** 2) @ trapezoid_weights(spec.grid.y)
+    wx = trapezoid_weights(x)
+    beyond = x > 0.9 * x[-1]
+    field_tail = (profile[beyond] @ wx[beyond]) / (profile @ wx)
     assert 1e-3 < synth.x_tail_fraction < 1e-2
     assert synth.x_tail_fraction == pytest.approx(field_tail, rel=1e-9)
 
