@@ -27,7 +27,7 @@ from .gallery import DATA_KINDS, FLOW_KINDS, GalleryError, strichartz_quotient
 from .oscillatory import GridCoverageError, QuadratureError, gamma_schrodinger, gamma_wave, pool_curves
 from .params import ParameterError, make_params, sharp_schrodinger_q, sharp_wave_q
 from .cusp import CuspError, PhaseSpacePoint, billiard_iterate, boundary_residual, cusp_field
-from .normlab import NormError, NormRegionSpec, counterexample_report, parallel_map, region_norms
+from .normlab import REGION_SPEC, NormError, counterexample_report, parallel_map, region_norms
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -255,18 +255,16 @@ def cmd_cusp(args) -> int:
                 residual_rows.append({"n": 0, "lambda": params.lam, "error": str(exc)})
     write_json(outdir / "boundary_residual.json", {"records": residual_rows}, manifest.hash)
 
-    region_rows = []
-    with manifest.time("region_norms"):
-        region_spec = NormRegionSpec(M=2.0, outer_margin=0.2)
-        for h in h_list:
-            params = make_params(h, epsilon, c0)
-            fld = cusp_field(0, 0.0, params)
-            for r in r_list:
-                for region, value in region_norms(fld, region_spec, r, params).items():
-                    region_rows.append((h, 0, 0.0, r, region, value))
-            del fld  # no region field outlives its iteration (it is 20 MiB at h=2^-12)
-    write_csv(outdir / "region_norms.csv", ["h", "n", "t", "r", "region", "norm"],
-              region_rows, manifest.hash)
+    # per h, the region split of u^0 at t = 0 for each r of r_list; the first
+    # verdict's walk computes it, so only an r-list without one builds u^0 here
+    splits = []
+    if not any(r > 4.0 for r in r_list):
+        with manifest.time("region_norms"):
+            for h in h_list:
+                params = make_params(h, epsilon, c0)
+                fld = cusp_field(0, 0.0, params)
+                splits.append([region_norms(fld, REGION_SPEC, r, params) for r in r_list])
+                del fld  # no region field outlives its iteration (it is 20 MiB at h=2^-12)
 
     exit_code = 0
     verdicts = []
@@ -278,12 +276,20 @@ def cmd_cusp(args) -> int:
                                  "reason": "construction yields no contradiction for r <= 4"})
                 continue
             rep = counterexample_report(r, epsilon, h_list, c0=c0, q=q,
-                                        samples_per_sqrt_a=t_resolution, threads=threads)
+                                        samples_per_sqrt_a=t_resolution, threads=threads,
+                                        region_r=() if splits else r_list)
+            if not splits:
+                splits = [meas["region_norms"] for meas in rep.norms]
             verdicts.append(rep.to_dict())
             for h, qv in rep.samples:
                 norm_rows.append((h, r, rep.q, qv))
             if rep.verdict == "UNRELIABLE":
                 exit_code = UNRELIABLE_EXIT
+    region_rows = [(h, 0, 0.0, r, region, value)
+                   for h, split in zip(h_list, splits)
+                   for r, norms in zip(r_list, split) for region, value in norms.items()]
+    write_csv(outdir / "region_norms.csv", ["h", "n", "t", "r", "region", "norm"],
+              region_rows, manifest.hash)
     write_csv(outdir / "cusp_norms.csv", ["h", "r", "q", "Q"], norm_rows, manifest.hash)
     write_json(outdir / "verdict.json", {"verdicts": verdicts}, manifest.hash)
     manifest.write(outdir)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .airy import _LEADING, _UK, AiryTable, _branch_series, cubic_coefficients, cubic_interpolate
 from .fields import FrequencyWindow, WaveField
-from .normlab import grid_lr_norm, lqlr_norm
+from .normlab import REGION_SPEC, grid_lr_norm, lqlr_norm, region_norms
 from .params import SemiclassicalParams, reflection_count
 
 __all__ = [
@@ -383,15 +383,37 @@ class _YAssembly:
         A nonzero ``shift`` moves the y-centre: the samples are multiplied by
         e^{i eta shift / h} first.
         """
+        return self.finish(self.head(real, imag, shift))
+
+    def head(self, real: np.ndarray, imag: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """The zero-padded FFT input whose head holds the shifted samples real + i imag."""
         padded = np.zeros(real.shape[:-1] + (self.n_fft,), dtype=complex)
         head = padded[..., : self.eta.size]
         head.real = real
         head.imag = imag
         if shift != 0.0:
-            head *= np.exp(1j * (self.eta / self.h) * shift)
+            head *= self._phase(shift)
+        return padded
+
+    def add(self, padded: np.ndarray, real: np.ndarray, imag: np.ndarray, shift: float) -> None:
+        """Adds the shifted samples real + i imag into the head of ``padded``.
+
+        The sum is linear, so one FFT of the summed head assembles both terms.
+        """
+        term = np.empty(real.shape, dtype=complex)
+        term.real = real
+        term.imag = imag
+        term *= self._phase(shift)
+        padded[..., : self.eta.size] += term
+
+    def finish(self, padded: np.ndarray) -> np.ndarray:
+        """The y-samples of a filled FFT input, computed in its buffer."""
         np.fft.ifft(padded, axis=-1, norm="forward", out=padded)
         padded *= self.carrier
         return padded
+
+    def _phase(self, shift: float) -> np.ndarray:
+        return np.exp(1j * (self.eta / self.h) * shift)
 
 
 _KEEP_TOL = 1e-13  # symbol spectrum below this share of its peak sets the xi cut
@@ -479,19 +501,38 @@ class CuspEvaluator:
         rows = [tens @ phase for tens in self._chunks]
         return np.concatenate(rows, axis=0)
 
-    def field_values(self, t: float, y_center: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-        """(values, y_offsets, y_center) of the cusp at time t."""
+    def _dense(self, t: float) -> tuple[np.ndarray, float]:
+        """(dense, natural_center): the signed, deta-weighted samples on the dense eta grid
+        at time t, real rows stacked over imaginary rows, and the cusp's own y-centre."""
         a = self.params.a
         root = math.sqrt((1.0 + a) * a)
         w = t / (2.0 * root) - 2.0 * self.n
         natural_center = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * self.n * a**1.5
-        center = natural_center if y_center is None else float(y_center)
-
         s = self._s_coarse(w)
-        dense = np.concatenate((s.real, s.imag)) @ self._interp
-        n_x = s.shape[0]
-        vals = self._y(dense[:n_x], dense[n_x:], center - natural_center)
-        return vals, self._y.offsets, center
+        return np.concatenate((s.real, s.imag)) @ self._interp, natural_center
+
+    def field_values(self, t: float, y_center: float | None = None,
+                     partner: CuspEvaluator | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+        """(values, y_offsets, y_center) of the cusp at time t.
+
+        With a ``partner`` evaluator on the same grids the values are those of
+        u^self + u^partner on self's y-centre: the partner's dense eta samples,
+        moved to that centre, are added before the one y-assembly.
+        """
+        if partner is not None and not (
+                partner.n_fft == self.n_fft and partner.params == self.params
+                and np.array_equal(partner.x, self.x) and np.array_equal(partner.eta_dense, self.eta_dense)):
+            raise CuspError("a partner cusp must share params, x, eta_dense and n_fft")
+        dense, natural_center = self._dense(t)
+        center = natural_center if y_center is None else float(y_center)
+        n_x = self.x.size
+        padded = self._y.head(dense[:n_x], dense[n_x:], center - natural_center)
+        del dense  # no two dense slices are alive at once
+        if partner is not None:
+            dense, partner_center = partner._dense(t)
+            self._y.add(padded, dense[:n_x], dense[n_x:], center - partner_center)
+            del dense
+        return self._y.finish(padded), self._y.offsets, center
 
     def field(self, t: float, y_center: float | None = None) -> WaveField:
         vals, offsets, center = self.field_values(t, y_center)
@@ -687,16 +728,21 @@ def dirichlet_residual(params: SemiclassicalParams) -> dict:
 
 
 def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
-                   samples_per_sqrt_a: int = 12) -> dict:
+                   samples_per_sqrt_a: int = 12, region_r=()) -> dict:
     """|U_h|_{L^q([0, 1], L^r)} with U_h assembled from its bracketing cusps.
 
     The time grid resolves the sqrt(a)-sized essential windows.  On reflection
     window k (the times with clip(floor(t / period), 0, N) = k) the sum U_h(t)
     reduces to the two bracketing cusps u^k and u^{k+1} (the others sit at
     symbol arguments |z - 2n| >= 2 and are measured negligible; one third-cusp
-    contamination check per run feeds the reliability flag).  The windows are
-    walked in order and evaluator k+1 is handed on as the next window's lower
-    cusp, so at most two are alive at once.
+    contamination check per run feeds the reliability flag).  Each pair is
+    summed on the shared dense eta grid, so one y-assembly serves both cusps.
+    The windows are walked in order and evaluator k+1 is handed on as the next
+    window's lower cusp, so at most two are alive at once.
+
+    ``region_norms`` lists, for each r in ``region_r``, the x-region split
+    (:data:`~convexwave.normlab.REGION_SPEC`) of the t = 0 slice of u^0 alone,
+    taken from evaluator 0 before evaluator 1 is built.
     """
     a, c0 = params.a, params.c0
     root = math.sqrt((1.0 + a) * a)
@@ -711,13 +757,16 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
     k_chk = big_n // 2 if big_n >= 2 else None  # the check needs cusps k_chk - 1 >= 0 and k_chk
     inner = np.empty(n_t)
     hi = CuspEvaluator(params, 0, symbol=symbol)
+    regions = []
+    if region_r:
+        initial = hi.field(0.0)
+        regions = [region_norms(initial, REGION_SPEC, r_region, params) for r_region in region_r]
+        del initial
     for k in range(windows[-1] + 1):
         lo = hi  # frees evaluator k - 1 before k + 1 is built
         hi = CuspEvaluator(params, k + 1, symbol=symbol) if k < big_n else None
         for i in np.flatnonzero(windows == k):
-            vals, offsets, center = lo.field_values(times[i])
-            if hi is not None:
-                vals += hi.field_values(times[i], center)[0]
+            vals, offsets, center = lo.field_values(times[i], partner=hi)
             inner[i] = grid_lr_norm(vals, lo.x, center + offsets, r)
             if i == 0:
                 l2_initial = grid_lr_norm(vals, lo.x, center + offsets, 2)
@@ -735,4 +784,5 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
         "n_time_samples": n_t,
         "checks": checks,
         "reliable": checks.get("third_cusp_fraction", 0.0) < 1e-3,
+        "region_norms": regions,
     }

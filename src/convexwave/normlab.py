@@ -200,6 +200,10 @@ class NormRegionSpec:
         return (lo, hi)
 
 
+# The x-regions that the cusp command reports for the t = 0 slice of u^0.
+REGION_SPEC = NormRegionSpec(M=2.0, outer_margin=0.2)
+
+
 def region_norms(field: WaveField, spec: NormRegionSpec, r, params: SemiclassicalParams) -> dict:
     """L^r norms over the shelf / fold-band / far-side x-regions of a cusp field.
 
@@ -272,13 +276,16 @@ class CounterexampleVerdict:
 
 
 def counterexample_report(r, epsilon, h_list, *, q=None, c0=0.25,
-                          samples_per_sqrt_a: int = 12, threads: int = 1) -> CounterexampleVerdict:
+                          samples_per_sqrt_a: int = 12, threads: int = 1,
+                          region_r=()) -> CounterexampleVerdict:
     """Assemble U_h over N reflections per h and test h^beta growth of the quotient.
 
     beta = beta(r) - epsilon.  PASS requires Q increasing along decreasing h
     with fitted exponent <= -epsilon/2 (half the theoretical -7 eps/8, which
     absorbs the marginal lambda of desk scale).  The control run re-weights the
     same measurements with beta(r) + 0.1 and must come out non-increasing.
+    Each per-h entry of ``norms`` carries the t = 0 region split of u^0 for
+    every r in ``region_r`` (see :func:`convexwave.cusp.uh_mixed_norms`).
     """
     from . import cusp  # deferred: normlab is importable without the cusp machinery
 
@@ -292,7 +299,8 @@ def counterexample_report(r, epsilon, h_list, *, q=None, c0=0.25,
     params_per_h = [make_params(h, epsilon, c0) for h in h_list]
 
     def measure(params):
-        return cusp.uh_mixed_norms(params, q=q, r=r, samples_per_sqrt_a=samples_per_sqrt_a)
+        return cusp.uh_mixed_norms(params, q=q, r=r, samples_per_sqrt_a=samples_per_sqrt_a,
+                                   region_r=region_r)
 
     per_h = parallel_map(measure, params_per_h, threads)
     reliable = all(m["reliable"] for m in per_h)

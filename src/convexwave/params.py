@@ -8,7 +8,6 @@ the boundary.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,8 +57,8 @@ def reflection_count(h: float, delta: float) -> int:
 class SemiclassicalParams:
     """The coupled scales h, epsilon, delta, a, lambda, N of one experiment.
 
-    ``lam`` is the large oscillation parameter a^{3/2}/h; it serializes under
-    the JSON key ``lambda``.
+    ``lam`` is the large oscillation parameter a^{3/2}/h; the CLI outputs
+    name it ``lambda``.
     """
 
     h: float
@@ -74,31 +73,6 @@ class SemiclassicalParams:
     @property
     def sqrt_a(self) -> float:
         return math.sqrt(self.a)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "h": self.h,
-                "epsilon": self.epsilon,
-                "delta": self.delta,
-                "a": self.a,
-                "lambda": self.lam,
-                "n_reflections": self.n_reflections,
-                "c0": self.c0,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SemiclassicalParams":
-        obj = json.loads(text)
-        params = make_params(obj["h"], obj["epsilon"], obj["c0"])
-        for key in ("delta", "a", "lambda", "n_reflections"):
-            stored = obj[key]
-            derived = getattr(params, "lam" if key == "lambda" else key)
-            if not math.isclose(stored, derived, rel_tol=1e-12, abs_tol=0.0):
-                raise ParameterError(f"inconsistent serialized field {key}: {stored} != {derived}")
-        return params
 
 
 def make_params(h: float, epsilon: float, c0: float = 0.2) -> SemiclassicalParams:

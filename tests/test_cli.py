@@ -7,6 +7,9 @@ import pytest
 
 import convexwave.cli as cli
 from convexwave.cli import main
+from convexwave.cusp import CuspEvaluator, cusp_field
+from convexwave.normlab import NormRegionSpec, region_norms
+from convexwave.params import make_params
 
 
 def run(args):
@@ -252,6 +255,36 @@ def test_cusp_region_csv_columns(tmp_path):
     lines = (out / "region_norms.csv").read_text().strip().splitlines()
     assert lines[1] == "h,n,t,r,region,norm"
     assert len(lines) == 5  # three regions + header + manifest line
+
+
+def test_cusp_region_split_comes_from_the_verdict_walk(tmp_path, monkeypatch):
+    # the walk's evaluator 0 gives the t = 0 region split for every r asked,
+    # so two h values build N + 1 = 2 and 3 evaluators and no separate u^0
+    built = []
+    init = CuspEvaluator.__init__
+
+    def counting_init(self, params, n, **kwargs):
+        init(self, params, n, **kwargs)
+        built.append((params.h, n))
+
+    monkeypatch.setattr(CuspEvaluator, "__init__", counting_init)
+    out = tmp_path / "csplit"
+    h_list = [2.0**-10, 2.0**-12]
+    code = run(["cusp", "--h-list", ",".join(repr(h) for h in h_list), "--epsilon", 0.1,
+                "--r-list", "4,6", "--t-resolution", "1", "--out", out])
+    assert code == 0
+    assert sorted(built) == [(2.0**-12, 0), (2.0**-12, 1), (2.0**-12, 2), (2.0**-10, 0), (2.0**-10, 1)]
+    monkeypatch.undo()
+
+    lines = (out / "region_norms.csv").read_text().strip().splitlines()[2:]
+    expected = []
+    for h in h_list:
+        params = make_params(h, 0.1, 0.25)
+        fld = cusp_field(0, 0.0, params)
+        for r in (4.0, 6.0):
+            for region, value in region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), r, params).items():
+                expected.append(",".join(cli._fmt(v) for v in (h, 0, 0.0, r, region, value)))
+    assert lines == expected
 
 
 def test_dispersion_wave_fit_near_half(tmp_path):

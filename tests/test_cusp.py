@@ -654,12 +654,48 @@ def _uh_mixed_norms_by_time(params, q, r, samples_per_sqrt_a):
 def test_uh_mixed_norms_window_walk_matches_time_loop(e, samples, q):
     params = make_params(2.0**-e, 0.1, 0.25)
     out = uh_mixed_norms(params, q=q, r=6.0, samples_per_sqrt_a=samples)
-    assert out == _uh_mixed_norms_by_time(params, q, 6.0, samples)
+    ref = _uh_mixed_norms_by_time(params, q, 6.0, samples)
+    assert out.pop("region_norms") == []
+    # the walk sums each pair before one y-assembly, the loop sums two
+    # assembled slices: the norms agree to rounding, the rest exactly
+    for key in ("lqlr", "l2_initial"):
+        assert out.pop(key) == pytest.approx(ref.pop(key), rel=1e-12, abs=0.0)
+    assert out == ref
+
+
+@pytest.mark.parametrize("e, k, shifted", [(12, 0, False), (12, 1, False), (16, 2, False), (16, 2, True)])
+def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted):
+    # window k pairs u^k with u^{k+1}; the partner always sits (4/3) a^{3/2}
+    # off self's centre, and a given y_center moves self's samples too
+    params = make_params(2.0**-e, 0.1, 0.25)
+    assert k < params.n_reflections
+    root = math.sqrt((1.0 + params.a) * params.a)
+    lo = CuspEvaluator(params, k, n_x=40)
+    hi = CuspEvaluator(params, k + 1, n_x=40, symbol=lo.symbol)
+    t = (4.0 * k + 1.3) * root
+    y_center = lo.field_values(t)[2] + 0.3 * root if shifted else None
+    pair, offsets, center = lo.field_values(t, y_center, partner=hi)
+    single, single_offsets, single_center = lo.field_values(t, y_center)
+    expected = single + hi.field_values(t, center)[0]
+    assert center == single_center
+    np.testing.assert_array_equal(offsets, single_offsets)
+    assert np.abs(hi.field_values(t, center)[0]).max() > 0.1 * np.abs(single).max()
+    assert np.abs(pair - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("opts", [{"n_x": 48}, {"n_eta_dense": 512}, {"n_fft": 2048}])
+def test_partner_on_another_grid_rejected(opts):
+    params = make_params(2.0**-12, 0.1, 0.25)
+    lo = CuspEvaluator(params, 0, n_x=40)
+    hi = CuspEvaluator(params, 1, **{"n_x": 40, **opts}, symbol=lo.symbol)
+    with pytest.raises(CuspError, match="partner"):
+        lo.field_values(0.0, partner=hi)
 
 
 def test_field_values_buffers_are_fresh():
-    # uh_mixed_norms sums the upper cusp into the lower cusp's slice in place,
-    # so no two field_values calls may hand out the same buffer
+    # the slices that callers hold are their own: the t = 0 region split keeps
+    # evaluator 0's slice and the third-cusp check keeps two slices of one
+    # time side by side, so no two field_values calls may share a buffer
     params = make_params(2.0**-12, 0.1, 0.25)
     root = math.sqrt((1.0 + params.a) * params.a)
     lo = CuspEvaluator(params, 0, n_x=40)

@@ -1,6 +1,5 @@
 """Parameter algebra, admissibility and loss exponents."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -72,13 +71,6 @@ def test_monotone_in_h(e1, e2):
     p_big = make_params(2.0**-lo, 0.2, 0.2)
     assert p_small.lam > p_big.lam
     assert p_small.n_reflections >= p_big.n_reflections
-
-
-def test_json_roundtrip_uses_lambda_key():
-    p = make_params(1e-4, 0.1, 0.2)
-    obj = json.loads(p.to_json())
-    assert set(obj) == {"h", "epsilon", "delta", "a", "lambda", "n_reflections", "c0"}
-    assert p.from_json(p.to_json()) == p
 
 
 def test_admissible_sharp_example():
