@@ -1,17 +1,19 @@
 """Airy function machinery: values, zeros and the two oscillatory branches.
 
 The evaluator uses a Taylor-series method for |z| <= 8 (local re-expansions of
-the Maclaurin series around a table of anchor points, built once in extended
-precision) and truncated asymptotic expansions beyond, blended continuously
-across a window around |z| = 8.  The two branches A^+/A^- carry the standard
-coefficients u_k; their leading constant is calibrated against the evaluator
-so that Ai(-z) = A^+(-z) + A^-(-z) holds numerically.
+the Maclaurin series around a table of anchor points, whose values are summed
+once at import in 50-digit ``decimal`` arithmetic) and truncated asymptotic
+expansions beyond, blended continuously across a window around |z| = 8.  The
+two branches A^+/A^- carry the standard coefficients u_k; their leading
+constant is calibrated against the evaluator so that Ai(-z) = A^+(-z) + A^-(-z)
+holds numerically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -24,8 +26,8 @@ _ANCHOR_STEP = 0.25
 _ANCHOR_MAX = 8.75
 _LOCAL_TERMS = 22
 
-# Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3), split into
-# double-double (hi, lo) pairs.
+# Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3), each stored as
+# a (hi, lo) pair of floats; their sum in 50-digit ``decimal`` seeds the series.
 _AI0 = (0.3550280538878172, 2.05233632436212e-17)
 _AIP0 = (-0.2588194037928068, 2.522243111610832e-17)
 
@@ -36,93 +38,35 @@ class AiryError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# double-double helpers (scalar; only used once, to build the anchor table)
-
-def _two_sum(a, b):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _split(a):
-    t = 134217729.0 * a  # 2^27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(x, y):
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    s, e = _two_sum(s, e)
-    return s, e
-
-
-def _dd_mul(x, y):
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    p, e = _two_sum(p, e)
-    return p, e
-
-
-def _dd_mul_float(x, c):
-    p, e = _two_prod(x[0], c)
-    e += x[1] * c
-    p, e = _two_sum(p, e)
-    return p, e
-
-
-def _dd_div_float(x, d):
-    q0 = x[0] / d
-    p, e = _two_prod(q0, d)
-    r = _dd_add(x, (-p, -e))
-    return _dd_add((q0, 0.0), ((r[0] + r[1]) / d, 0.0))
-
-
-def _maclaurin_coefficients_dd(n_terms):
-    """Taylor coefficients of Ai at 0 in double-double, from y'' = z y."""
-    coef = [(0.0, 0.0)] * n_terms
-    coef[0] = _AI0
-    coef[1] = _AIP0
-    for n in range(n_terms - 2):
-        prev = coef[n - 1] if n >= 1 else (0.0, 0.0)
-        coef[n + 2] = _dd_div_float(prev, float((n + 1) * (n + 2)))
-    return coef
-
-
-def _dd_horner_pair(coef, z):
-    """(Ai(z), Ai'(z)) from the dd coefficient list, evaluated in dd."""
-    zdd = (z, 0.0)
-    acc = (0.0, 0.0)
-    for c in reversed(coef):
-        acc = _dd_add(_dd_mul(acc, zdd), c)
-    dacc = (0.0, 0.0)
-    for n in range(len(coef) - 1, 0, -1):
-        dacc = _dd_add(_dd_mul(dacc, zdd), _dd_mul_float(coef[n], float(n)))
-    return acc[0] + acc[1], dacc[0] + dacc[1]
-
-
 def _build_anchor_table():
-    """Anchor values of (Ai, Ai') on |z| <= _ANCHOR_MAX plus local Taylor rows."""
+    """Anchor values of (Ai, Ai') on |z| <= _ANCHOR_MAX plus local Taylor rows.
+
+    The 240-term Maclaurin series loses up to 15 digits to cancellation on
+    this range, so the coefficients and both Horner sums run in 50-digit
+    ``decimal`` arithmetic; each anchor is rounded to float once.
+    """
     n_mac = 240
-    coef = _maclaurin_coefficients_dd(n_mac)
     centers = np.arange(-_ANCHOR_MAX, _ANCHOR_MAX + 0.5 * _ANCHOR_STEP, _ANCHOR_STEP)
     rows = np.empty((centers.size, _LOCAL_TERMS))
-    for i, zc in enumerate(centers):
-        ai_c, aip_c = _dd_horner_pair(coef, float(zc))
-        local = np.zeros(_LOCAL_TERMS)
-        local[0], local[1] = ai_c, aip_c
-        for n in range(_LOCAL_TERMS - 2):
-            prev = local[n - 1] if n >= 1 else 0.0
-            local[n + 2] = (zc * local[n] + prev) / ((n + 1) * (n + 2))
-        rows[i] = local
+    with localcontext() as ctx:
+        ctx.prec = 50
+        coef = [Decimal(0)] * n_mac
+        coef[0] = Decimal(_AI0[0]) + Decimal(_AI0[1])
+        coef[1] = Decimal(_AIP0[0]) + Decimal(_AIP0[1])
+        for n in range(1, n_mac - 2):  # y'' = z y: c_2 = 0, c_{n+2} = c_{n-1} / ((n+1)(n+2))
+            coef[n + 2] = coef[n - 1] / ((n + 1) * (n + 2))
+        for i, zc in enumerate(centers):
+            z = Decimal(float(zc))
+            acc = dacc = Decimal(0)
+            for n in range(n_mac - 1, 0, -1):
+                acc = acc * z + coef[n]
+                dacc = dacc * z + n * coef[n]
+            local = np.zeros(_LOCAL_TERMS)
+            local[0], local[1] = float(acc * z + coef[0]), float(dacc)
+            for n in range(_LOCAL_TERMS - 2):
+                prev = local[n - 1] if n >= 1 else 0.0
+                local[n + 2] = (zc * local[n] + prev) / ((n + 1) * (n + 2))
+            rows[i] = local
     return centers, rows
 
 

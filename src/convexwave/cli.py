@@ -110,18 +110,20 @@ def _load_config(args, section: str) -> dict:
 
 
 def _h_grid(cfg) -> list[float]:
+    """The run's h values, each in make_params's range (0, 1]."""
     if cfg.get("h_list"):
-        return [float(x) for x in str(cfg["h_list"]).split(",")]
-    h_min = float(cfg.get("h_min", 1e-4))
-    h_max = float(cfg.get("h_max", 1e-2))
+        hs = [float(x) for x in str(cfg["h_list"]).split(",")]
+    else:
+        hs = [float(cfg.get("h_max", 1e-2)), float(cfg.get("h_min", 1e-4))]
+    for h in hs:
+        if not 0.0 < h <= 1.0:
+            raise _UsageError(f"h must lie in (0, 1], got {h}")
+    if cfg.get("h_list"):
+        return hs
     steps = int(cfg.get("h_steps", 3))
     if steps < 1:
         raise _UsageError(f"h_steps must be >= 1, got {steps}")
-    if min(h_min, h_max) <= 0.0:
-        raise _UsageError(f"h_min and h_max must be > 0, got {h_min} and {h_max}")
-    if steps == 1:
-        return [h_max]
-    return list(np.geomspace(h_max, h_min, steps))
+    return hs[:1] if steps == 1 else list(np.geomspace(*hs, steps))
 
 
 def cmd_airy(args) -> int:

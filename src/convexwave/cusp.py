@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -120,13 +121,11 @@ class ReflectionKernel:
     R_J the truncated series of the branch ratio.
     """
 
-    chi_flat: float = 0.25
-    chi_order: int = 4
+    chi_flat: ClassVar[float] = 0.25
+    chi_order: ClassVar[int] = 4
     branch_terms: int = 3
 
     def __post_init__(self):
-        if not 0.0 < self.chi_flat <= 0.25:
-            raise CuspError("chi flat half-width c must lie in (0, 1/4]")
         if not 0 <= self.branch_terms <= 6:
             raise CuspError("branch_terms must lie in [0, 6]")
 

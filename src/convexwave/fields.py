@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class FrequencyWindow:
     center: float = 1.0
     inner_halfwidth: float = 0.1
     outer_halfwidth: float = 0.2
-    order: int = 4
+    order: ClassVar[int] = 4
 
     def __post_init__(self):
         if not 0.0 < self.inner_halfwidth < self.outer_halfwidth:

@@ -1,12 +1,20 @@
 """Airy evaluator against independent series/mpmath oracles."""
 
+import decimal
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import convexwave
 from convexwave.airy import (
+    _ANCHOR_CENTERS,
+    _ANCHOR_ROWS,
     _LEADING,
     _UK,
     BLEND_HI,
@@ -47,6 +55,23 @@ def test_matches_mpmath_wide_range(rng):
     for z in zs:
         ref = float(mp.airyai(mp.mpf(float(z))))
         assert ai(float(z)) == pytest.approx(ref, rel=1e-9, abs=1e-13)
+
+
+def test_anchors_are_correctly_rounded():
+    # each anchor (Ai, Ai') is the float nearest the true value at its centre
+    with mp.workdps(50):
+        for zc, row in zip(_ANCHOR_CENTERS, _ANCHOR_ROWS):
+            z = mp.mpf(float(zc))
+            assert row[0] == float(mp.airyai(z))
+            assert row[1] == float(mp.airyai(z, derivative=1))
+
+
+def test_import_leaves_decimal_context_alone():
+    # the anchor build raises the decimal precision only inside a local context
+    env = dict(os.environ, PYTHONPATH=str(Path(convexwave.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", "import convexwave, decimal; print(decimal.getcontext().prec)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert int(out) == decimal.DefaultContext.prec
 
 
 def test_ode_finite_difference_residual():

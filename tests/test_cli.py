@@ -205,8 +205,11 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
     (["gallery"], {"gallery": {"r": "abc"}}),
     (["gallery"], {"gallery": {"data": "x", "h_steps": 1}}),
     (["gallery"], {"gallery": {"flow": "x", "h_steps": 1}}),
+    (["cusp", "--epsilon", 0.1, "--h-list", "0,0.001"], None),
+    (["cusp", "--epsilon", 0.1, "--h-max", 2], None),
 ], ids=["lambda_min_below_1", "h_min_zero", "h_min_negative", "window_inner_not_below_outer",
-        "gallery_r_not_a_number", "gallery_unknown_data", "gallery_unknown_flow"])
+        "gallery_r_not_a_number", "gallery_unknown_data", "gallery_unknown_flow",
+        "cusp_h_list_zero", "cusp_h_max_above_1"])
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, argv, config):
     out = tmp_path / "bad"
     if config is not None:
