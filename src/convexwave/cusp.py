@@ -416,25 +416,37 @@ class _YAssembly:
 
 
 _KEEP_TOL = 1e-13  # symbol spectrum below this share of its peak sets the xi cut
-_X_CHUNK = 80  # x-rows per tensor chunk
+_X_CHUNK = 80  # x-rows per fill step of the Airy factor; bounds the argument temporaries
 
 
 class CuspEvaluator:
     """Cached spectral tables for evaluating one reflected cusp at many times.
 
-    The (x, eta_coarse, xi) tensor holds the symbol spectrum times the Airy
-    factor, filled by the Airy table's coefficient lookup.  Each time slice
-    contracts it against e^{i xi w}, interpolates to the dense eta grid and
-    assembles y-offsets by one zero-padded inverse FFT.  The interpolation is
-    a real (n_eta, n_eta_dense) matrix of the four-point cubic, applied as one
-    GEMM to the real and imaginary parts stacked as rows; its columns carry
-    the quadrature step deta and the signs (-1)^e that fold the fftshift of
-    the y-offsets into the FFT, so ``n_fft`` must be even.
+    The cusp is stored in two parts.  The real Airy factor ``_airy[eta, x, xi]``
+    = Ai((eta/h)^{2/3}(x-a) + (h/eta)^{1/3} a^{-1/2} xi) is filled by the Airy
+    table's coefficient lookup; it is eta-major, so each eta block is one
+    contiguous (n_x, n_xi) matrix.  The complex weights ``_weights[eta, xi]``
+    hold everything that depends on n: the window, the reflection multiplier,
+    the base spectrum, (h/eta)^{1/3} dxi and the second-derivative factor.
+    The factor does not depend on n, so an evaluator built with ``_airy_from``
+    an evaluator of the same h and a on the same x, eta and xi grids holds
+    that evaluator's factor instead of filling its own.
+
+    Each time slice multiplies the weights by e^{i xi w} and contracts them
+    with the factor in one batched real matmul per eta block, against their
+    real and imaginary parts as two columns.  The slice is then interpolated
+    to the dense eta grid and assembled on y-offsets by one zero-padded
+    inverse FFT.  The interpolation is a real (n_eta, n_eta_dense) matrix of
+    the four-point cubic, applied as one GEMM to the real and imaginary parts
+    stacked as rows; its columns carry the quadrature step deta and the signs
+    (-1)^e that fold the fftshift of the y-offsets into the FFT, so ``n_fft``
+    must be even.
     """
 
     def __init__(self, params: SemiclassicalParams, n: int, *, symbol: CuspSymbol | None = None,
                  x: np.ndarray | None = None, n_x: int = 320, n_eta: int = 160,
-                 n_eta_dense: int = 1024, n_fft: int = 4096, second_deriv: bool = False):
+                 n_eta_dense: int = 1024, n_fft: int = 4096, second_deriv: bool = False,
+                 _airy_from: CuspEvaluator | None = None):
         self.params = params
         self.n = int(n)
         self.second_deriv = second_deriv
@@ -480,25 +492,26 @@ class CuspEvaluator:
         if second_deriv:
             weights = weights * (1j * self.xi[None, :]) ** 2 * (h**-params.delta / (4.0 * (1.0 + a)))
         dxi = float(self.xi[1] - self.xi[0]) if self.xi.size > 1 else 1.0
-        weights = weights * ((h / self.eta)[:, None] ** (1.0 / 3.0)) * dxi
+        self._weights = weights * ((h / self.eta)[:, None] ** (1.0 / 3.0)) * dxi
 
-        alpha = (self.eta / h) ** (2.0 / 3.0)
-        beta = (h / self.eta) ** (1.0 / 3.0) / math.sqrt(a)
-        args_lo = alpha.max() * (self.x.min() - a) + beta.max() * self.xi.min()
-        args_hi = alpha.max() * (self.x.max() - a) + beta.max() * max(self.xi.max(), 0.0)
-        self._table = AiryTable(min(args_lo, -5.0) - 2.0, max(args_hi, 5.0) + 2.0)
-
-        self._chunks = []
-        for i0 in range(0, self.x.size, _X_CHUNK):
-            xs = self.x[i0 : i0 + _X_CHUNK]
-            arg = alpha[None, :, None] * (xs[:, None, None] - a) + beta[None, :, None] * self.xi[None, None, :]
-            self._chunks.append(self._table(arg) * weights)
-
-    def _s_coarse(self, w: float) -> np.ndarray:
-        """S(x, eta; w): contraction of the cached tensor against e^{i xi w}."""
-        phase = np.exp(1j * self.xi * w)
-        rows = [tens @ phase for tens in self._chunks]
-        return np.concatenate(rows, axis=0)
+        src = _airy_from
+        if src is not None and (
+                src.params.h == h and src.params.a == a and np.array_equal(src.x, self.x)
+                and np.array_equal(src.eta, self.eta) and np.array_equal(src.xi, self.xi)):
+            # the Airy arguments and the table range are functions of h, a and
+            # the three grids alone: the shared factor is bit-identical to a fill
+            self._airy = src._airy
+        else:
+            alpha = (self.eta / h) ** (2.0 / 3.0)
+            beta = (h / self.eta) ** (1.0 / 3.0) / math.sqrt(a)
+            args_lo = alpha.max() * (self.x.min() - a) + beta.max() * self.xi.min()
+            args_hi = alpha.max() * (self.x.max() - a) + beta.max() * max(self.xi.max(), 0.0)
+            table = AiryTable(min(args_lo, -5.0) - 2.0, max(args_hi, 5.0) + 2.0)
+            self._airy = np.empty((self.eta.size, self.x.size, self.xi.size))
+            for i0 in range(0, self.x.size, _X_CHUNK):
+                xs = self.x[i0 : i0 + _X_CHUNK]
+                arg = alpha[:, None, None] * (xs[None, :, None] - a) + beta[:, None, None] * self.xi[None, None, :]
+                self._airy[:, i0 : i0 + _X_CHUNK] = table(arg)
 
     def _dense(self, t: float) -> tuple[np.ndarray, float]:
         """(dense, natural_center): the signed, deta-weighted samples on the dense eta grid
@@ -507,8 +520,9 @@ class CuspEvaluator:
         root = math.sqrt((1.0 + a) * a)
         w = t / (2.0 * root) - 2.0 * self.n
         natural_center = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * self.n * a**1.5
-        s = self._s_coarse(w)
-        return np.concatenate((s.real, s.imag)) @ self._interp, natural_center
+        v = self._weights * np.exp(1j * self.xi * w)
+        s = np.matmul(self._airy, np.stack((v.real, v.imag), axis=-1))  # (eta, x, [re, im])
+        return s.transpose(2, 1, 0).reshape(-1, self.eta.size) @ self._interp, natural_center
 
     def field_values(self, t: float, y_center: float | None = None,
                      partner: CuspEvaluator | None = None) -> tuple[np.ndarray, np.ndarray, float]:
@@ -737,7 +751,10 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
     contamination check per run feeds the reliability flag).  Each pair is
     summed on the shared dense eta grid, so one y-assembly serves both cusps.
     The windows are walked in order and evaluator k+1 is handed on as the next
-    window's lower cusp, so at most two are alive at once.
+    window's lower cusp, so at most two are alive at once.  Evaluator k+1 holds
+    evaluator k's Airy factor when their grids match (every n >= 1, and n = 0
+    too once the reflection cutoff is wider than its spectral cut), so the
+    factor is filled at most twice per call.
 
     ``region_norms`` lists, for each r in ``region_r``, the x-region split
     (:data:`~convexwave.normlab.REGION_SPEC`) of the t = 0 slice of u^0 alone,
@@ -763,7 +780,7 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
         del initial
     for k in range(windows[-1] + 1):
         lo = hi  # frees evaluator k - 1 before k + 1 is built
-        hi = CuspEvaluator(params, k + 1, symbol=symbol) if k < big_n else None
+        hi = CuspEvaluator(params, k + 1, symbol=symbol, _airy_from=lo) if k < big_n else None
         for i in np.flatnonzero(windows == k):
             vals, offsets, center = lo.field_values(times[i], partner=hi)
             inner[i] = grid_lr_norm(vals, lo.x, center + offsets, r)

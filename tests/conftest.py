@@ -27,8 +27,8 @@ def maclaurin_airy(z: float, terms: int = 120) -> float:
 
 def mp_airy_zero(k: int) -> float:
     """k-th zero (0-based) of Ai(-w) via mpmath at 30 digits."""
-    mp.mp.dps = 30
-    return float(-mp.airyaizero(k + 1))
+    with mp.workdps(30):
+        return float(-mp.airyaizero(k + 1))
 
 
 @pytest.fixture(scope="session")

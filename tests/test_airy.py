@@ -28,7 +28,7 @@ from convexwave.airy import (
     airy_zeros,
     calibrate_branch_leading,
 )
-from conftest import maclaurin_airy
+from conftest import maclaurin_airy, mp_airy_zero
 
 
 def test_value_at_zero():
@@ -50,10 +50,10 @@ def test_matches_series_oracle_moderate_range(rng):
 
 
 def test_matches_mpmath_wide_range(rng):
-    mp.mp.dps = 30
     zs = np.concatenate([rng.uniform(-60.0, 12.0, 60), np.linspace(7.5, 8.5, 11)])
-    for z in zs:
-        ref = float(mp.airyai(mp.mpf(float(z))))
+    with mp.workdps(30):
+        refs = [float(mp.airyai(mp.mpf(float(z)))) for z in zs]
+    for z, ref in zip(zs, refs):
         assert ai(float(z)) == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
@@ -85,6 +85,13 @@ def test_zeros_against_oracle(airy_zero_oracle):
     zeros = airy_zeros(10)
     for k in range(10):
         assert zeros[k] == pytest.approx(airy_zero_oracle[k], abs=1e-8)
+
+
+def test_zero_oracle_leaves_mpmath_precision_alone():
+    # the oracle raises the precision only inside a local context
+    before = mp.mp.dps
+    mp_airy_zero(0)
+    assert mp.mp.dps == before
 
 
 def test_zero_gaps_shrink_like_cuberoot():

@@ -1,6 +1,7 @@
 """Cusp apparatus: billiards, symbols, reflections, fields, traces."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -302,7 +303,8 @@ def _field_values_oracle(ev, t, y_center=None):
     w = t / (2.0 * math.sqrt((1.0 + a) * a)) - 2.0 * ev.n
     natural = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * ev.n * a**1.5
     center = natural if y_center is None else y_center
-    s = ev._s_coarse(w)
+    # S(x, eta; w): the single-cusp contraction of the Airy factor and the weights
+    s = np.einsum("exk,ek->xe", ev._airy, ev._weights * np.exp(1j * ev.xi * w))
     pos = (ev.eta_dense - ev.eta[0]) / (ev.eta[1] - ev.eta[0])
     i = np.clip(pos.astype(int), 1, s.shape[1] - 3)
     tt = pos - i
@@ -663,15 +665,24 @@ def test_uh_mixed_norms_window_walk_matches_time_loop(e, samples, q):
     assert out == ref
 
 
-@pytest.mark.parametrize("e, k, shifted", [(12, 0, False), (12, 1, False), (16, 2, False), (16, 2, True)])
-def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted):
+@pytest.mark.parametrize("e, k, shifted, shared", [
+    pytest.param(12, 0, False, False, id="12-0-False"),
+    pytest.param(12, 1, False, False, id="12-1-False"),
+    pytest.param(16, 2, False, False, id="16-2-False"),
+    pytest.param(16, 2, True, False, id="16-2-True"),
+    pytest.param(12, 1, False, True, id="12-1-False-shared"),
+    pytest.param(16, 2, True, True, id="16-2-True-shared"),
+])
+def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted, shared):
     # window k pairs u^k with u^{k+1}; the partner always sits (4/3) a^{3/2}
-    # off self's centre, and a given y_center moves self's samples too
+    # off self's centre, and a given y_center moves self's samples too; the
+    # shared ids hand hi lo's Airy factor, as the window walk does
     params = make_params(2.0**-e, 0.1, 0.25)
     assert k < params.n_reflections
     root = math.sqrt((1.0 + params.a) * params.a)
     lo = CuspEvaluator(params, k, n_x=40)
-    hi = CuspEvaluator(params, k + 1, n_x=40, symbol=lo.symbol)
+    hi = CuspEvaluator(params, k + 1, n_x=40, symbol=lo.symbol, _airy_from=lo if shared else None)
+    assert (hi._airy is lo._airy) == shared
     t = (4.0 * k + 1.3) * root
     y_center = lo.field_values(t)[2] + 0.3 * root if shifted else None
     pair, offsets, center = lo.field_values(t, y_center, partner=hi)
@@ -681,6 +692,48 @@ def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted):
     np.testing.assert_array_equal(offsets, single_offsets)
     assert np.abs(hi.field_values(t, center)[0]).max() > 0.1 * np.abs(single).max()
     assert np.abs(pair - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_reflected_cusps_share_one_airy_factor():
+    # the Airy factor does not depend on n: evaluator 2 built from evaluator 1
+    # holds its factor and slices exactly as a self-filled evaluator 2; at
+    # 2^-12 the n = 0 xi range is the wider 1e-13 spectral cut, so evaluator 1
+    # fills its own factor and still slices exactly as a fresh one
+    params = make_params(2.0**-12, 0.1, 0.25)
+    root = math.sqrt((1.0 + params.a) * params.a)
+    ev0 = CuspEvaluator(params, 0, n_x=40)
+    ev1 = CuspEvaluator(params, 1, n_x=40, symbol=ev0.symbol, _airy_from=ev0)
+    ev2 = CuspEvaluator(params, 2, n_x=40, symbol=ev0.symbol, _airy_from=ev1)
+    assert not np.shares_memory(ev1._airy, ev0._airy)
+    assert np.shares_memory(ev2._airy, ev1._airy)
+    for ev in (ev1, ev2):
+        fresh = CuspEvaluator(params, ev.n, n_x=40, symbol=ev0.symbol)
+        for t in ((4.0 * ev.n + 0.6) * root, (4.0 * ev.n - 1.3) * root):
+            np.testing.assert_array_equal(ev.field_values(t)[0], fresh.field_values(t)[0])
+
+
+def test_airy_factor_memory_does_not_grow_with_reflections():
+    # at 2^-22 the reflection cutoff is wider than the 1e-13 spectral cut, so
+    # the whole chain n = 0..N holds one factor buffer
+    params = make_params(2.0**-22, 0.1, 0.25)
+    chain = [CuspEvaluator(params, 0, n_x=40)]
+    for n in range(1, params.n_reflections + 1):
+        chain.append(CuspEvaluator(params, n, n_x=40, symbol=chain[0].symbol, _airy_from=chain[-1]))
+    assert len(chain) == 9
+    assert all(np.shares_memory(ev._airy, chain[0]._airy) for ev in chain)
+
+
+def test_uh_mixed_norms_memory_guard():
+    # the n = 0 Airy factor sets the peak: it is stored real, and at most it
+    # and one reflected factor are alive (stored complex, the same walk peaks at 240 MiB)
+    params = make_params(2.0**-12, 0.1, 0.25)
+    tracemalloc.start()
+    try:
+        uh_mixed_norms(params, q=3, r=6, samples_per_sqrt_a=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 170 * 2**20
 
 
 @pytest.mark.parametrize("opts", [{"n_x": 48}, {"n_eta_dense": 512}, {"n_fft": 2048}])
