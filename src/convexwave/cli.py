@@ -51,6 +51,13 @@ def _config_values():
         raise _UsageError(str(exc)) from None
 
 
+def _at_least_one(name: str, *values) -> None:
+    """A usage error unless every value is >= 1; NaN is rejected too."""
+    for value in values:
+        if not value >= 1:
+            raise _UsageError(f"{name} must be >= 1, got {value}")
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".12g")
@@ -121,8 +128,7 @@ def _h_grid(cfg) -> list[float]:
     if cfg.get("h_list"):
         return hs
     steps = int(cfg.get("h_steps", 3))
-    if steps < 1:
-        raise _UsageError(f"h_steps must be >= 1, got {steps}")
+    _at_least_one("h_steps", steps)
     return hs[:1] if steps == 1 else list(np.geomspace(*hs, steps))
 
 
@@ -131,8 +137,7 @@ def cmd_airy(args) -> int:
     with _config_values():
         count = int(cfg.get("count", 10))
         manifest = Manifest(cfg, int(cfg.get("seed", 0)))
-    if count < 1:
-        raise _UsageError("count must be >= 1")
+    _at_least_one("count", count)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with manifest.time("zeros"):
@@ -162,8 +167,7 @@ def cmd_dispersion(args) -> int:
         mu_min = float(cfg.get("mu_min", 12.0))
     if lam_steps < 1 or lam_max <= lam_min:
         raise _UsageError("empty lambda range")
-    if lam_min < 1.0:
-        raise _UsageError(f"lambda_min must be >= 1, got {lam_min}")
+    _at_least_one("lambda_min", lam_min)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     omega = airy_zeros(k_mode + 1)[k_mode]
@@ -205,6 +209,7 @@ def cmd_gallery(args) -> int:
         r = float(cfg.get("r", 6.0))
         if cfg.get("q") is not None:
             q = float(cfg["q"])
+            _at_least_one("q", q)
         else:
             q = float(sharp_schrodinger_q(r) if flow == "schrodinger" else sharp_wave_q(r))
         h_list = _h_grid(cfg)
@@ -243,6 +248,10 @@ def cmd_cusp(args) -> int:
         t_resolution = int(cfg.get("t_resolution", 12))
         threads = int(cfg.get("threads", 1))
         manifest = Manifest(cfg, int(cfg.get("seed", 0)))
+        _at_least_one("r", *r_list)
+        _at_least_one("t_resolution", t_resolution)
+        if q is not None:
+            _at_least_one("q", q)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 

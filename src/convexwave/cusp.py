@@ -376,16 +376,12 @@ class _YAssembly:
         self.deta = deta
         self.carrier = np.exp(1j * (eta[0] / h) * self.offsets)
 
-    def __call__(self, real: np.ndarray, imag: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """y-samples of the signed eta samples real + i imag (last axis eta).
+    def head(self, real: np.ndarray, imag: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """The zero-padded FFT input whose head holds the signed eta samples real + i imag.
 
         A nonzero ``shift`` moves the y-centre: the samples are multiplied by
-        e^{i eta shift / h} first.
+        e^{i eta shift / h}.
         """
-        return self.finish(self.head(real, imag, shift))
-
-    def head(self, real: np.ndarray, imag: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """The zero-padded FFT input whose head holds the shifted samples real + i imag."""
         padded = np.zeros(real.shape[:-1] + (self.n_fft,), dtype=complex)
         head = padded[..., : self.eta.size]
         head.real = real
@@ -415,8 +411,32 @@ class _YAssembly:
         return np.exp(1j * (self.eta / self.h) * shift)
 
 
-_KEEP_TOL = 1e-13  # symbol spectrum below this share of its peak sets the xi cut
+# The xi cuts of the field and the trace (share of the spectrum's peak); they differ on
+# purpose: a 1e-13 trace cut moves the dirichlet_residual ratio at 2^-20 by 2.4e-11 relative.
+_KEEP_TOL = 1e-13
+_TRACE_KEEP_TOL = 1e-14
 _X_CHUNK = 80  # x-rows per fill step of the Airy factor; bounds the argument temporaries
+
+
+def _spectral_setup(params: SemiclassicalParams, n: int, symbol: CuspSymbol, eta: np.ndarray,
+                    keep_tol: float, xi_max: float = math.inf):
+    """(xi, base, omega, mult, dxi): the spectrum of u^n before any Airy factor.
+
+    ``base`` is rhohat^0 on the sorted xi range |xi| <= min(xi_keep, xi_max), ``dxi`` its
+    step, and ``omega`` = eta lam and ``mult`` the n-fold reflection multiplier on the
+    (eta, xi) grid.  xi_keep is the largest |xi| where |rhohat^0| exceeds keep_tol times its
+    peak, so the cut drops at most n_z keep_tol of sum |rhohat^0| for n_z symbol samples.
+    """
+    spec = symbol.spectrum
+    above = np.abs(spec) > keep_tol * np.abs(spec).max()
+    xi_keep = float(np.abs(symbol.xi[above]).max()) if np.any(above) else 0.0
+    keep = np.abs(symbol.xi) <= min(xi_keep, xi_max)
+    order = np.argsort(symbol.xi[keep])
+    xi = symbol.xi[keep][order]
+    omega = np.outer(eta, np.ones_like(xi)) * params.lam
+    mult = _KERNEL.reflection_multiplier(xi[None, :] / omega, omega, n)
+    dxi = float(xi[1] - xi[0]) if xi.size > 1 else 1.0
+    return xi, spec[keep][order], omega, mult, dxi
 
 
 class CuspEvaluator:
@@ -428,9 +448,11 @@ class CuspEvaluator:
     contiguous (n_x, n_xi) matrix.  The complex weights ``_weights[eta, xi]``
     hold everything that depends on n: the window, the reflection multiplier,
     the base spectrum, (h/eta)^{1/3} dxi and the second-derivative factor.
-    The factor does not depend on n, so an evaluator built with ``_airy_from``
-    an evaluator of the same h and a on the same x, eta and xi grids holds
-    that evaluator's factor instead of filling its own.
+    The xi grid is :func:`_spectral_setup` at the ``_KEEP_TOL`` cut, trimmed
+    for n > 0 at the reflection cutoff 2c max(eta) lam; the trim sets the
+    width of the factor.  The factor does not depend on n, so an evaluator
+    built with ``_airy_from`` an evaluator of the same h and a on the same x,
+    eta and xi grids holds that evaluator's factor instead of filling its own.
 
     Each time slice multiplies the weights by e^{i xi w} and contracts them
     with the factor in one batched real matmul per eta block, against their
@@ -450,9 +472,7 @@ class CuspEvaluator:
         self.params = params
         self.n = int(n)
         self.second_deriv = second_deriv
-        if symbol is None:
-            symbol = make_symbol((-params.c0, params.c0), params)
-        self.symbol = symbol
+        self.symbol = symbol if symbol is not None else make_symbol((-params.c0, params.c0), params)
         h, a, lam = params.h, params.a, params.lam
         if x is None:
             x = np.linspace(0.0, 2.0 * a, n_x)
@@ -467,31 +487,14 @@ class CuspEvaluator:
         interp = cubic_interpolate(cubic_coefficients(np.eye(n_eta)), pos)
         self._interp = np.ascontiguousarray((interp * (self._y.signs * self._y.deta)[:, None]).T)
 
-        spec = symbol.spectrum
-        above = np.abs(spec) > _KEEP_TOL * np.abs(spec).max()
-        xi_keep = float(np.abs(symbol.xi[above]).max()) if np.any(above) else 0.0
-        # spectral-truncation audit: mass dropped by the _KEEP_TOL cut must stay tiny
-        outside = np.abs(symbol.xi) > xi_keep
-        dropped = np.abs(spec[outside]).sum() / max(np.abs(spec).sum(), 1e-300)
-        if dropped > 1e-3:
-            raise CuspError(f"spectral truncation discards {dropped:.2e} > 1e-3 of |rhohat|")
-        xi_cut = xi_keep
-        if self.n > 0:
-            # the reflection cutoff kills |zeta| >= 2c at every eta in the window
-            xi_cut = min(xi_cut, 2.0 * _KERNEL.chi_flat * hi * lam)
-        keep = np.abs(symbol.xi) <= xi_cut
-        order = np.argsort(symbol.xi[keep])
-        self.xi = symbol.xi[keep][order]
-        base_spec = spec[keep][order]
         if self.n > 0 and (0.78 * lam) / self.n < 4.0:
             raise CuspError(f"eta lam / n < 4 across the window for n = {self.n}")
-
-        omega = np.outer(self.eta, np.ones_like(self.xi)) * lam
-        mult = _KERNEL.reflection_multiplier(self.xi[None, :] / omega, omega, self.n)
+        # for n > 0 the reflection cutoff kills |zeta| >= 2c at every eta in the window
+        xi_max = 2.0 * _KERNEL.chi_flat * hi * lam if self.n > 0 else math.inf
+        self.xi, base_spec, _, mult, dxi = _spectral_setup(params, self.n, self.symbol, self.eta, _KEEP_TOL, xi_max)
         weights = _WINDOW(self.eta)[:, None] * mult * base_spec[None, :]
         if second_deriv:
             weights = weights * (1j * self.xi[None, :]) ** 2 * (h**-params.delta / (4.0 * (1.0 + a)))
-        dxi = float(self.xi[1] - self.xi[0]) if self.xi.size > 1 else 1.0
         self._weights = weights * ((h / self.eta)[:, None] ** (1.0 / 3.0)) * dxi
 
         src = _airy_from
@@ -584,49 +587,34 @@ class TraceSignal:
 
 
 class TraceEvaluator:
-    """Spectral evaluation of Tr_{sign}(u^n) on y-offset grids, reusable over t."""
+    """Spectral evaluation of Tr_{sign}(u^n) on y-offset grids, reusable over t.
+
+    It takes the spectrum of u^n from :func:`_spectral_setup` at the wider, untrimmed
+    ``_TRACE_KEEP_TOL`` cut; the chi-clip audit raises above 1% of |rhohat| at |zeta| > c.
+    """
 
     def __init__(self, params: SemiclassicalParams, n: int, sign: int, *,
                  symbol: CuspSymbol | None = None, n_eta: int = 768, n_fft: int = 4096):
         if sign not in (+1, -1):
             raise CuspError("sign must be +1 or -1")
         self.params, self.n, self.sign = params, int(n), sign
-        if symbol is None:
-            symbol = make_symbol((-params.c0, params.c0), params)
-        self.symbol = symbol
-        lam, h = params.lam, params.h
-        lo, hi = _WINDOW.support
-        self.eta = np.linspace(lo, hi, n_eta)
-        self.n_fft = n_fft
-        self._y = _YAssembly(self.eta, h, n_fft)
+        self.symbol = symbol if symbol is not None else make_symbol((-params.c0, params.c0), params)
+        self.eta = np.linspace(*_WINDOW.support, n_eta)
+        self._y = _YAssembly(self.eta, params.h, n_fft)
 
-        spec = symbol.spectrum
-        above = np.abs(spec) > 1e-14 * np.abs(spec).max()
-        xi_cut = float(np.abs(symbol.xi[above]).max()) if np.any(above) else 0.0
-        keep = np.abs(symbol.xi) <= xi_cut
-        order = np.argsort(symbol.xi[keep])
-        self.xi = symbol.xi[keep][order]
-        base = spec[keep][order]
-
-        omega = np.outer(self.eta * lam, np.ones_like(self.xi))
+        self.xi, base, omega, refl, dxi = _spectral_setup(params, self.n, self.symbol, self.eta, _TRACE_KEEP_TOL)
         zeta = self.xi[None, :] / omega
         inside = np.abs(zeta) < 2.0 * _KERNEL.chi_flat
         # clipping audit: |rhohat| mass at |zeta| > c is lost by the cutoff
         mass = np.abs(base)[None, :] * np.ones_like(omega)
         total_mass = float(mass.sum())
-        clipped = 0.0 if total_mass == 0.0 else float(
-            (mass * (np.abs(zeta) > _KERNEL.chi_flat)).sum() / total_mass
-        )
+        clipped = float((mass * (np.abs(zeta) > _KERNEL.chi_flat)).sum() / total_mass) if total_mass else 0.0
         if clipped > 0.01:
-            raise CuspError(
-                f"chi cutoff clips {clipped:.2%} > 1% of |rhohat| mass: "
-                "symbol insufficiently localized for this lambda"
-            )
-        refl = _KERNEL.reflection_multiplier(zeta, omega, self.n)
+            raise CuspError(f"chi cutoff clips {clipped:.2%} > 1% of |rhohat| mass: "
+                            "symbol insufficiently localized for this lambda")
         tr = np.zeros_like(omega, dtype=complex)
         tr[inside] = _KERNEL.trace_multiplier(zeta[inside], omega[inside], sign)
-        dxi = float(self.xi[1] - self.xi[0]) if self.xi.size > 1 else 1.0
-        pref = 2.0 * math.pi * math.sqrt(params.a / lam) * _WINDOW(self.eta) / np.sqrt(self.eta)
+        pref = 2.0 * math.pi * math.sqrt(params.a / params.lam) * _WINDOW(self.eta) / np.sqrt(self.eta)
         self._weights = pref[:, None] * tr * refl * base[None, :] * (dxi / (2.0 * math.pi))
         self._weights *= self._y.signs[:, None]
 
@@ -643,7 +631,7 @@ class TraceEvaluator:
         natural = self.y_center(t)
         center = natural if y_center is None else float(y_center)
         vals_eta = self._weights @ np.exp(1j * self.xi * w)
-        vals = self._y(vals_eta.real, vals_eta.imag, center - natural)
+        vals = self._y.finish(self._y.head(vals_eta.real, vals_eta.imag, center - natural))
         vals *= self._y.deta
         return TraceSignal(values=vals, y=center + self._y.offsets, y_center=center, t=t,
                            n=self.n, sign=self.sign)

@@ -210,6 +210,8 @@ def region_norms(field: WaveField, spec: NormRegionSpec, r, params: Semiclassica
     The regional powers partition the full-grid quadrature sum exactly, so the
     r-th powers add up to the total without boundary double counting.
     """
+    if r < 1:
+        raise NormError(f"r must be >= 1, got {r}")
     lo, hi = spec.boundaries(params)
     masks = {
         "shelf": field.x < lo,

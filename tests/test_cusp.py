@@ -17,7 +17,9 @@ from convexwave.cusp import (
     PhaseSpacePoint,
     ReflectionKernel,
     TraceEvaluator,
+    _KEEP_TOL,
     _pair_sums,
+    _spectral_setup,
     billiard,
     billiard_iterate,
     boundary_residual,
@@ -710,6 +712,43 @@ def test_reflected_cusps_share_one_airy_factor():
         fresh = CuspEvaluator(params, ev.n, n_x=40, symbol=ev0.symbol)
         for t in ((4.0 * ev.n + 0.6) * root, (4.0 * ev.n - 1.3) * root):
             np.testing.assert_array_equal(ev.field_values(t)[0], fresh.field_values(t)[0])
+
+
+def test_field_and_trace_xi_cuts_are_deliberate():
+    # one spectral set-up, two cuts: the field keeps the 1e-13 cut, trimmed for
+    # n > 0 at the reflection cutoff 2c max(eta) lam (the width of the shared
+    # Airy factor); the trace keeps the wider 1e-14 cut, untrimmed
+    params = make_params(2.0**-20, 0.1, 0.25)
+    symbol = make_symbol((-params.c0, params.c0), params)
+    field_xi = CuspEvaluator(params, 0, n_x=40, symbol=symbol).xi
+    trace_xi = TraceEvaluator(params, 0, -1, symbol=symbol).xi
+    assert np.all(np.diff(field_xi) > 0) and np.all(np.diff(trace_xi) > 0)
+    assert trace_xi[0] < field_xi[0] and field_xi[-1] < trace_xi[-1]
+    np.testing.assert_array_equal(trace_xi[(trace_xi >= field_xi[0]) & (trace_xi <= field_xi[-1])], field_xi)
+
+    params = make_params(2.0**-18, 0.1, 0.25)
+    symbol = make_symbol((-params.c0, params.c0), params)
+    cutoff = 2.0 * ReflectionKernel.chi_flat * FrequencyWindow().support[1] * params.lam
+    assert cutoff == pytest.approx(34.6, abs=0.05)
+    field_xi = CuspEvaluator(params, 1, n_x=40, symbol=symbol).xi
+    trace_xi = TraceEvaluator(params, 1, +1, symbol=symbol).xi
+    assert np.abs(field_xi).max() <= cutoff < np.abs(trace_xi).max()
+
+
+@pytest.mark.parametrize("e", [10, 20, 30])
+def test_keep_tol_cut_drops_at_most_n_z_tol(e):
+    # the a-priori bound that stands in for a dropped-mass audit: every sample
+    # beyond the cut is at most _KEEP_TOL of the peak, so at most n_z _KEEP_TOL
+    # of the |rhohat| mass goes, far below 1e-3 even at symbol_grid's 2^18 cap
+    params = make_params(2.0**-e, 0.1, 0.25)
+    symbol = make_symbol((-params.c0, params.c0), params)
+    xi = _spectral_setup(params, 0, symbol, np.ones(1), _KEEP_TOL)[0]
+    mod = np.abs(symbol.spectrum)
+    outside = np.abs(symbol.xi) > np.abs(xi).max()
+    assert outside.any()
+    assert mod[outside].max() <= _KEEP_TOL * mod.max()
+    assert mod[outside].sum() / mod.sum() <= symbol.xi.size * _KEEP_TOL
+    assert symbol.xi.size <= 1 << 18 and (1 << 18) * _KEEP_TOL < 1e-3
 
 
 def test_airy_factor_memory_does_not_grow_with_reflections():

@@ -168,6 +168,9 @@ def test_region_norms_validation(cusp_setup):
         NormRegionSpec(M=1.0)
     with pytest.raises(ValueError, match="exceeds"):
         NormRegionSpec(A=params.a * 2.0).boundaries(params)
+    # the regional powers skip lr_power, so region_norms checks r itself
+    with pytest.raises(NormError, match="r must be >= 1"):
+        region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), 0.5, params)
 
 
 def test_counterexample_rejects_small_r():
