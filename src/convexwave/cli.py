@@ -52,9 +52,9 @@ def _config_values():
 
 
 def _at_least_one(name: str, *values) -> None:
-    """A usage error unless every value is >= 1; NaN is rejected too."""
+    """A usage error unless every value other than None is >= 1; NaN is rejected too."""
     for value in values:
-        if not value >= 1:
+        if value is not None and not value >= 1:
             raise _UsageError(f"{name} must be >= 1, got {value}")
 
 
@@ -207,11 +207,9 @@ def cmd_gallery(args) -> int:
             raise ValueError(f"unknown data kind {data!r}")
         k_mode = int(cfg.get("k", 0))
         r = float(cfg.get("r", 6.0))
-        if cfg.get("q") is not None:
-            q = float(cfg["q"])
-            _at_least_one("q", q)
-        else:
-            q = float(sharp_schrodinger_q(r) if flow == "schrodinger" else sharp_wave_q(r))
+        sharp_q = sharp_schrodinger_q if flow == "schrodinger" else sharp_wave_q
+        q = float(cfg["q"]) if cfg.get("q") is not None else float(sharp_q(r))
+        _at_least_one("q", q)  # a derived q too: r < 2 gives a negative one
         h_list = _h_grid(cfg)
         t_max = float(cfg.get("t_max", 0.3))
         t_steps = int(cfg.get("t_steps", 25))
@@ -250,8 +248,7 @@ def cmd_cusp(args) -> int:
         manifest = Manifest(cfg, int(cfg.get("seed", 0)))
         _at_least_one("r", *r_list)
         _at_least_one("t_resolution", t_resolution)
-        if q is not None:
-            _at_least_one("q", q)
+        _at_least_one("q", q)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 

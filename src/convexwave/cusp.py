@@ -18,6 +18,7 @@ requiring the n -> n+1 boundary-trace cancellation to hold numerically.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -416,6 +417,7 @@ class _YAssembly:
 _KEEP_TOL = 1e-13
 _TRACE_KEEP_TOL = 1e-14
 _X_CHUNK = 80  # x-rows per fill step of the Airy factor; bounds the argument temporaries
+_HELD = threading.local()  # per thread: the last filled Airy factor and its key
 
 
 def _spectral_setup(params: SemiclassicalParams, n: int, symbol: CuspSymbol, eta: np.ndarray,
@@ -439,20 +441,39 @@ def _spectral_setup(params: SemiclassicalParams, n: int, symbol: CuspSymbol, eta
     return xi, spec[keep][order], omega, mult, dxi
 
 
+def _airy_factor(h: float, a: float, x: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Ai((eta/h)^{2/3}(x-a) + (h/eta)^{1/3} a^{-1/2} xi)[eta, x, xi], held per thread for the next
+    build on the same h, a and grids: they alone fix the arguments and table, so a hit equals a fill."""
+    held = getattr(_HELD, "entry", None)
+    if held is not None and all(map(np.array_equal, held[0], (h, a, x, eta, xi))):
+        return held[1]
+    held = _HELD.entry = None  # the held factor goes before a new one is filled
+    alpha = (eta / h) ** (2.0 / 3.0)
+    beta = (h / eta) ** (1.0 / 3.0) / math.sqrt(a)
+    args_lo = alpha.max() * (x.min() - a) + beta.max() * xi.min()
+    args_hi = alpha.max() * (x.max() - a) + beta.max() * max(xi.max(), 0.0)
+    table = AiryTable(min(args_lo, -5.0) - 2.0, max(args_hi, 5.0) + 2.0)
+    factor = np.empty((eta.size, x.size, xi.size))
+    for i0 in range(0, x.size, _X_CHUNK):
+        xs = x[i0 : i0 + _X_CHUNK]
+        factor[:, i0 : i0 + _X_CHUNK] = table(alpha[:, None, None] * (xs[None, :, None] - a) + beta[:, None, None] * xi)
+    factor.flags.writeable = False  # every evaluator on this key reads the same array
+    _HELD.entry = ((h, a, x.copy(), eta.copy(), xi.copy()), factor)
+    return factor
+
+
 class CuspEvaluator:
     """Cached spectral tables for evaluating one reflected cusp at many times.
 
     The cusp is stored in two parts.  The real Airy factor ``_airy[eta, x, xi]``
-    = Ai((eta/h)^{2/3}(x-a) + (h/eta)^{1/3} a^{-1/2} xi) is filled by the Airy
-    table's coefficient lookup; it is eta-major, so each eta block is one
-    contiguous (n_x, n_xi) matrix.  The complex weights ``_weights[eta, xi]``
-    hold everything that depends on n: the window, the reflection multiplier,
-    the base spectrum, (h/eta)^{1/3} dxi and the second-derivative factor.
-    The xi grid is :func:`_spectral_setup` at the ``_KEEP_TOL`` cut, trimmed
-    for n > 0 at the reflection cutoff 2c max(eta) lam; the trim sets the
-    width of the factor.  The factor does not depend on n, so an evaluator
-    built with ``_airy_from`` an evaluator of the same h and a on the same x,
-    eta and xi grids holds that evaluator's factor instead of filling its own.
+    (:func:`_airy_factor`) is eta-major, so each eta block is one contiguous
+    (n_x, n_xi) matrix; it depends on neither n nor the second derivative, so
+    one factor per h and thread is filled and held for the next evaluator on the
+    same grids.  The complex weights ``_weights[eta, xi]`` hold everything that
+    depends on n: the window, the reflection multiplier, the base spectrum,
+    (h/eta)^{1/3} dxi and the second-derivative factor.  The xi grid is
+    :func:`_spectral_setup` at the ``_KEEP_TOL`` cut, trimmed for n > 0 at the
+    reflection cutoff 2c max(eta) lam; the trim sets the width of the factor.
 
     Each time slice multiplies the weights by e^{i xi w} and contracts them
     with the factor in one batched real matmul per eta block, against their
@@ -467,8 +488,7 @@ class CuspEvaluator:
 
     def __init__(self, params: SemiclassicalParams, n: int, *, symbol: CuspSymbol | None = None,
                  x: np.ndarray | None = None, n_x: int = 320, n_eta: int = 160,
-                 n_eta_dense: int = 1024, n_fft: int = 4096, second_deriv: bool = False,
-                 _airy_from: CuspEvaluator | None = None):
+                 n_eta_dense: int = 1024, n_fft: int = 4096, second_deriv: bool = False):
         self.params = params
         self.n = int(n)
         self.second_deriv = second_deriv
@@ -497,24 +517,7 @@ class CuspEvaluator:
             weights = weights * (1j * self.xi[None, :]) ** 2 * (h**-params.delta / (4.0 * (1.0 + a)))
         self._weights = weights * ((h / self.eta)[:, None] ** (1.0 / 3.0)) * dxi
 
-        src = _airy_from
-        if src is not None and (
-                src.params.h == h and src.params.a == a and np.array_equal(src.x, self.x)
-                and np.array_equal(src.eta, self.eta) and np.array_equal(src.xi, self.xi)):
-            # the Airy arguments and the table range are functions of h, a and
-            # the three grids alone: the shared factor is bit-identical to a fill
-            self._airy = src._airy
-        else:
-            alpha = (self.eta / h) ** (2.0 / 3.0)
-            beta = (h / self.eta) ** (1.0 / 3.0) / math.sqrt(a)
-            args_lo = alpha.max() * (self.x.min() - a) + beta.max() * self.xi.min()
-            args_hi = alpha.max() * (self.x.max() - a) + beta.max() * max(self.xi.max(), 0.0)
-            table = AiryTable(min(args_lo, -5.0) - 2.0, max(args_hi, 5.0) + 2.0)
-            self._airy = np.empty((self.eta.size, self.x.size, self.xi.size))
-            for i0 in range(0, self.x.size, _X_CHUNK):
-                xs = self.x[i0 : i0 + _X_CHUNK]
-                arg = alpha[:, None, None] * (xs[None, :, None] - a) + beta[:, None, None] * self.xi[None, None, :]
-                self._airy[:, i0 : i0 + _X_CHUNK] = table(arg)
+        self._airy = _airy_factor(h, a, self.x, self.eta, self.xi)
 
     def _dense(self, t: float) -> tuple[np.ndarray, float]:
         """(dense, natural_center): the signed, deta-weighted samples on the dense eta grid
@@ -739,10 +742,9 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
     contamination check per run feeds the reliability flag).  Each pair is
     summed on the shared dense eta grid, so one y-assembly serves both cusps.
     The windows are walked in order and evaluator k+1 is handed on as the next
-    window's lower cusp, so at most two are alive at once.  Evaluator k+1 holds
-    evaluator k's Airy factor when their grids match (every n >= 1, and n = 0
-    too once the reflection cutoff is wider than its spectral cut), so the
-    factor is filled at most twice per call.
+    window's lower cusp, so at most two are alive at once.  Evaluator k+1 gets
+    evaluator k's held Airy factor when their grids match: every n >= 1, and
+    n = 0 too once the reflection cutoff is wider than its spectral cut.
 
     ``region_norms`` lists, for each r in ``region_r``, the x-region split
     (:data:`~convexwave.normlab.REGION_SPEC`) of the t = 0 slice of u^0 alone,
@@ -768,7 +770,7 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
         del initial
     for k in range(windows[-1] + 1):
         lo = hi  # frees evaluator k - 1 before k + 1 is built
-        hi = CuspEvaluator(params, k + 1, symbol=symbol, _airy_from=lo) if k < big_n else None
+        hi = CuspEvaluator(params, k + 1, symbol=symbol) if k < big_n else None
         for i in np.flatnonzero(windows == k):
             vals, offsets, center = lo.field_values(times[i], partner=hi)
             inner[i] = grid_lr_norm(vals, lo.x, center + offsets, r)

@@ -28,13 +28,13 @@ def grid_lr_norm(values: np.ndarray, x: np.ndarray, y: np.ndarray, r) -> float:
 
 def lr_power(values: np.ndarray, wx: np.ndarray, wy: np.ndarray, r) -> float:
     """sum_ij wx_i |values_ij|^r wy_j, the r-th power of the L^r norm; r = inf returns the max."""
+    if not r >= 1:  # NaN fails too
+        raise NormError(f"r must be >= 1, got {r}")
     mod = np.abs(values)
     if not np.isfinite(mod).all():
         raise NormError("non-finite field samples")
     if r == math.inf:
         return float(mod.max(initial=0.0))
-    if r < 1:
-        raise NormError(f"r must be >= 1, got {r}")
     return float(np.einsum("i,ij,j->", wx, power_in_place(mod, r), wy))
 
 
@@ -210,7 +210,7 @@ def region_norms(field: WaveField, spec: NormRegionSpec, r, params: Semiclassica
     The regional powers partition the full-grid quadrature sum exactly, so the
     r-th powers add up to the total without boundary double counting.
     """
-    if r < 1:
+    if not r >= 1:  # NaN fails too
         raise NormError(f"r must be >= 1, got {r}")
     lo, hi = spec.boundaries(params)
     masks = {

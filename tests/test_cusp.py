@@ -1,13 +1,14 @@
 """Cusp apparatus: billiards, symbols, reflections, fields, traces."""
 
 import math
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from convexwave.airy import _LEADING, _UK
+from convexwave.airy import _LEADING, _UK, AiryTable
 from convexwave.fields import FrequencyWindow, trapezoid_weights
 from convexwave.params import make_params
 from convexwave.cusp import (
@@ -17,6 +18,7 @@ from convexwave.cusp import (
     PhaseSpacePoint,
     ReflectionKernel,
     TraceEvaluator,
+    _HELD,
     _KEEP_TOL,
     _pair_sums,
     _spectral_setup,
@@ -678,12 +680,15 @@ def test_uh_mixed_norms_window_walk_matches_time_loop(e, samples, q):
 def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted, shared):
     # window k pairs u^k with u^{k+1}; the partner always sits (4/3) a^{3/2}
     # off self's centre, and a given y_center moves self's samples too; the
-    # shared ids hand hi lo's Airy factor, as the window walk does
+    # shared ids let hi take lo's held Airy factor, as the window walk does,
+    # and the others clear the slot so that hi fills its own
     params = make_params(2.0**-e, 0.1, 0.25)
     assert k < params.n_reflections
     root = math.sqrt((1.0 + params.a) * params.a)
     lo = CuspEvaluator(params, k, n_x=40)
-    hi = CuspEvaluator(params, k + 1, n_x=40, symbol=lo.symbol, _airy_from=lo if shared else None)
+    if not shared:
+        _HELD.entry = None
+    hi = CuspEvaluator(params, k + 1, n_x=40, symbol=lo.symbol)
     assert (hi._airy is lo._airy) == shared
     t = (4.0 * k + 1.3) * root
     y_center = lo.field_values(t)[2] + 0.3 * root if shifted else None
@@ -697,21 +702,82 @@ def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted, shared):
 
 
 def test_reflected_cusps_share_one_airy_factor():
-    # the Airy factor does not depend on n: evaluator 2 built from evaluator 1
-    # holds its factor and slices exactly as a self-filled evaluator 2; at
+    # the Airy factor does not depend on n: evaluator 2 takes the factor that
+    # evaluator 1 left held and slices exactly as a self-filled evaluator 2; at
     # 2^-12 the n = 0 xi range is the wider 1e-13 spectral cut, so evaluator 1
     # fills its own factor and still slices exactly as a fresh one
     params = make_params(2.0**-12, 0.1, 0.25)
     root = math.sqrt((1.0 + params.a) * params.a)
     ev0 = CuspEvaluator(params, 0, n_x=40)
-    ev1 = CuspEvaluator(params, 1, n_x=40, symbol=ev0.symbol, _airy_from=ev0)
-    ev2 = CuspEvaluator(params, 2, n_x=40, symbol=ev0.symbol, _airy_from=ev1)
+    ev1 = CuspEvaluator(params, 1, n_x=40, symbol=ev0.symbol)
+    ev2 = CuspEvaluator(params, 2, n_x=40, symbol=ev0.symbol)
     assert not np.shares_memory(ev1._airy, ev0._airy)
     assert np.shares_memory(ev2._airy, ev1._airy)
     for ev in (ev1, ev2):
+        _HELD.entry = None
         fresh = CuspEvaluator(params, ev.n, n_x=40, symbol=ev0.symbol)
+        assert not np.shares_memory(fresh._airy, ev._airy)
         for t in ((4.0 * ev.n + 0.6) * root, (4.0 * ev.n - 1.3) * root):
             np.testing.assert_array_equal(ev.field_values(t)[0], fresh.field_values(t)[0])
+
+
+def test_field_and_residual_share_the_held_factor():
+    # cusp_field then wave_residual at one h: the key is h, a and the grids, so
+    # two params objects made separately still share one factor, and each
+    # evaluator slices exactly as one that filled its own factor
+    p1, p2 = make_params(2.0**-12, 0.1, 0.25), make_params(2.0**-12, 0.1, 0.25)
+    assert p1 == p2 and p1 is not p2
+    field = CuspEvaluator(p1, 0, n_x=40)
+    residual = CuspEvaluator(p2, 0, n_x=40, second_deriv=True)
+    assert np.shares_memory(field._airy, residual._airy)
+    assert not field._airy.flags.writeable
+    for ev in (field, residual):
+        _HELD.entry = None
+        fresh = CuspEvaluator(p1, 0, n_x=40, second_deriv=ev.second_deriv)
+        assert not np.shares_memory(fresh._airy, ev._airy)
+        for t in (0.0, 0.4):
+            np.testing.assert_array_equal(ev.field_values(t)[0], fresh.field_values(t)[0])
+
+
+def test_a_new_fill_frees_the_held_factor_first(monkeypatch):
+    # a build at another h drops the held factor before its Airy table is made,
+    # so the old and the new factor never coexist
+    old = CuspEvaluator(make_params(2.0**-12, 0.1, 0.25), 0, n_x=40)
+    held = weakref.ref(old._airy)
+    del old
+    assert held() is not None
+    freed = []
+    init = AiryTable.__init__
+
+    def spy(self, *args, **kwargs):
+        freed.append(held() is None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AiryTable, "__init__", spy)
+    CuspEvaluator(make_params(2.0**-14, 0.1, 0.25), 0, n_x=40)
+    assert freed == [True]
+
+
+def test_each_thread_holds_its_own_factor():
+    # two workers at different h alternate their builds; each keeps its own
+    # slot, so neither evicts the other's factor and the caller's slot is untouched
+    _HELD.entry = None
+    params = {e: make_params(2.0**-e, 0.1, 0.25) for e in (12, 14)}
+    both_filled = threading.Barrier(2, timeout=120)
+    shared = {}
+
+    def work(e):
+        first = CuspEvaluator(params[e], 0, n_x=40)
+        both_filled.wait()
+        shared[e] = np.shares_memory(first._airy, CuspEvaluator(params[e], 0, n_x=40, second_deriv=True)._airy)
+
+    workers = [threading.Thread(target=work, args=(e,)) for e in params]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert shared == {12: True, 14: True}
+    assert _HELD.entry is None
 
 
 def test_field_and_trace_xi_cuts_are_deliberate():
@@ -757,7 +823,7 @@ def test_airy_factor_memory_does_not_grow_with_reflections():
     params = make_params(2.0**-22, 0.1, 0.25)
     chain = [CuspEvaluator(params, 0, n_x=40)]
     for n in range(1, params.n_reflections + 1):
-        chain.append(CuspEvaluator(params, n, n_x=40, symbol=chain[0].symbol, _airy_from=chain[-1]))
+        chain.append(CuspEvaluator(params, n, n_x=40, symbol=chain[0].symbol))
     assert len(chain) == 9
     assert all(np.shares_memory(ev._airy, chain[0]._airy) for ev in chain)
 
@@ -773,6 +839,23 @@ def test_uh_mixed_norms_memory_guard():
     finally:
         tracemalloc.stop()
     assert peak <= 170 * 2**20
+
+
+def test_held_factor_memory_guard():
+    # the field and its wave residual at 2^-10 share one fill, and the held
+    # factor is dropped before the fill at 2^-12: the sequence peaks no higher
+    # than one field at 2^-10 alone (121.0 MiB when each call filled its own)
+    p10, p12 = make_params(2.0**-10, 0.1, 0.25), make_params(2.0**-12, 0.1, 0.25)
+    tracemalloc.start()
+    try:
+        cusp_field(0, 0.0, p10, n_x=320)
+        wave_residual(0, 0.0, p10, n_x=320)
+        cusp_field(0, 0.0, p12, n_x=320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _HELD.entry = None
+    assert peak <= 121.0 * 2**20
 
 
 @pytest.mark.parametrize("opts", [{"n_x": 48}, {"n_eta_dense": 512}, {"n_fft": 2048}])

@@ -75,6 +75,15 @@ def test_grid_lr_norm_rejects_nan_in_imaginary_part():
             grid_lr_norm(vals, x, y, r)
 
 
+def test_grid_lr_norm_rejects_nan_r_before_any_array_work():
+    # r >= 1 is checked first: a NaN r fails it, also on samples that are not finite
+    x, y = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5)
+    for vals in (2.0 * np.ones((4, 5)), np.full((4, 5), np.nan)):
+        for r in (math.nan, 0.5):
+            with pytest.raises(NormError, match="r must be >= 1"):
+                grid_lr_norm(vals, x, y, r)
+
+
 def test_lqlr_single_slice_needs_inf():
     fld = unit_square_field(np.ones((4, 5)))
     assert lqlr_norm([lr_norm(fld, 2)], [0.0], math.inf) == pytest.approx(lr_norm(fld, 2))
@@ -171,6 +180,8 @@ def test_region_norms_validation(cusp_setup):
     # the regional powers skip lr_power, so region_norms checks r itself
     with pytest.raises(NormError, match="r must be >= 1"):
         region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), 0.5, params)
+    with pytest.raises(NormError, match="r must be >= 1"):
+        region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), math.nan, params)
 
 
 def test_counterexample_rejects_small_r():
