@@ -417,6 +417,8 @@ class _YAssembly:
 _KEEP_TOL = 1e-13
 _TRACE_KEEP_TOL = 1e-14
 _X_CHUNK = 80  # x-rows per fill step of the Airy factor; bounds the argument temporaries
+_BATCH = 8  # planned times per Airy contraction; caps the held (eta, x, 2 _BATCH) block
+_BAND_COLUMNS = 32  # dense eta columns per block of the banded eta interpolation
 _HELD = threading.local()  # per thread: the last filled Airy factor and its key
 
 
@@ -462,6 +464,16 @@ def _airy_factor(h: float, a: float, x: np.ndarray, eta: np.ndarray, xi: np.ndar
     return factor
 
 
+def _contract(airy: np.ndarray, weights: np.ndarray, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """S[eta, x, 2j : 2j + 2] = [Re, Im] sum_xi airy[eta, x, xi] weights[eta, xi] e^{i xi w_j}.
+
+    One batched real matmul per eta block serves every symbol argument w_j: the
+    complex (eta, xi, m) weights are read as real (eta, xi, 2m) columns.
+    """
+    v = weights[:, :, None] * np.exp(1j * np.outer(xi, w))
+    return np.matmul(airy, v.view(np.float64))
+
+
 class CuspEvaluator:
     """Cached spectral tables for evaluating one reflected cusp at many times.
 
@@ -475,20 +487,25 @@ class CuspEvaluator:
     :func:`_spectral_setup` at the ``_KEEP_TOL`` cut, trimmed for n > 0 at the
     reflection cutoff 2c max(eta) lam; the trim sets the width of the factor.
 
-    Each time slice multiplies the weights by e^{i xi w} and contracts them
-    with the factor in one batched real matmul per eta block, against their
-    real and imaginary parts as two columns.  The slice is then interpolated
-    to the dense eta grid and assembled on y-offsets by one zero-padded
-    inverse FFT.  The interpolation is a real (n_eta, n_eta_dense) matrix of
-    the four-point cubic, applied as one GEMM to the real and imaginary parts
-    stacked as rows; its columns carry the quadrature step deta and the signs
-    (-1)^e that fold the fftshift of the y-offsets into the FFT, so ``n_fft``
-    must be even.
+    A time slice multiplies the weights by e^{i xi w} and contracts them with
+    the factor in one batched real matmul per eta block (:func:`_contract`),
+    against their real and imaginary parts as two columns.  The ``times`` given
+    at build, which the coming slices ask for in order, are contracted up to
+    ``_BATCH`` at once, as 2 ``_BATCH`` columns of one matmul, and the
+    (eta, x, 2m) block (6.25 MiB at 160 x 320 and m = 8) is held until its last
+    time is sliced; any other time is contracted alone and nothing is held.  The slice is then interpolated to
+    the dense eta grid and assembled on y-offsets by one zero-padded inverse
+    FFT.  The interpolation is a real (n_eta, n_eta_dense) matrix of the
+    four-point cubic, applied to the real and imaginary parts stacked as rows,
+    one GEMM per block of ``_BAND_COLUMNS`` dense columns over the band of
+    coarse rows that the block reads (the rest of the matrix is zero); its
+    columns carry the quadrature step deta and the signs (-1)^e that fold the
+    fftshift of the y-offsets into the FFT, so ``n_fft`` must be even.
     """
 
     def __init__(self, params: SemiclassicalParams, n: int, *, symbol: CuspSymbol | None = None,
                  x: np.ndarray | None = None, n_x: int = 320, n_eta: int = 160,
-                 n_eta_dense: int = 1024, n_fft: int = 4096, second_deriv: bool = False):
+                 n_eta_dense: int = 1024, n_fft: int = 4096, second_deriv: bool = False, times=()):
         self.params = params
         self.n = int(n)
         self.second_deriv = second_deriv
@@ -506,6 +523,12 @@ class CuspEvaluator:
         pos = (self.eta_dense - self.eta[0]) / (self.eta[1] - self.eta[0])
         interp = cubic_interpolate(cubic_coefficients(np.eye(n_eta)), pos)
         self._interp = np.ascontiguousarray((interp * (self._y.signs * self._y.deta)[:, None]).T)
+        self._bands = []  # (coarse rows, dense columns, the matrix block they span)
+        for c0 in range(0, n_eta_dense, _BAND_COLUMNS):
+            cols = slice(c0, c0 + _BAND_COLUMNS)
+            nonzero = np.flatnonzero(self._interp[:, cols].any(axis=1))
+            rows = slice(nonzero[0], nonzero[-1] + 1)
+            self._bands.append((rows, cols, np.ascontiguousarray(self._interp[rows, cols])))
 
         if self.n > 0 and (0.78 * lam) / self.n < 4.0:
             raise CuspError(f"eta lam / n < 4 across the window for n = {self.n}")
@@ -518,17 +541,43 @@ class CuspEvaluator:
         self._weights = weights * ((h / self.eta)[:, None] ** (1.0 / 3.0)) * dxi
 
         self._airy = _airy_factor(h, a, self.x, self.eta, self.xi)
+        self._planned = [float(t) for t in times]  # the times still to be contracted, in order
+        self._held = None  # (batch times, their (eta, x, 2 len(batch)) contraction)
+
+    def _coarse(self, t: float) -> np.ndarray:
+        """The contraction S[eta, x, [re, im]] at time t, from the held batch when it covers t."""
+        if self._held is None or t not in self._held[0]:
+            planned = t in self._planned
+            batch = [t]
+            if planned:
+                i = self._planned.index(t)
+                batch, self._planned = self._planned[i : i + _BATCH], self._planned[i + _BATCH :]
+                self._held = None  # the spent block goes before the next one is contracted
+            a = self.params.a
+            w = np.asarray(batch) / (2.0 * math.sqrt((1.0 + a) * a)) - 2.0 * self.n
+            block = _contract(self._airy, self._weights, self.xi, w)
+            if not planned:
+                return block
+            self._held = (batch, block)
+        times, block = self._held
+        j = times.index(t)
+        if j == len(times) - 1:
+            self._held = None
+        return block[..., 2 * j : 2 * j + 2]
 
     def _dense(self, t: float) -> tuple[np.ndarray, float]:
         """(dense, natural_center): the signed, deta-weighted samples on the dense eta grid
         at time t, real rows stacked over imaginary rows, and the cusp's own y-centre."""
         a = self.params.a
-        root = math.sqrt((1.0 + a) * a)
-        w = t / (2.0 * root) - 2.0 * self.n
         natural_center = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * self.n * a**1.5
-        v = self._weights * np.exp(1j * self.xi * w)
-        s = np.matmul(self._airy, np.stack((v.real, v.imag), axis=-1))  # (eta, x, [re, im])
-        return s.transpose(2, 1, 0).reshape(-1, self.eta.size) @ self._interp, natural_center
+        return self._interpolate(self._coarse(t).transpose(2, 1, 0).reshape(-1, self.eta.size)), natural_center
+
+    def _interpolate(self, coarse: np.ndarray) -> np.ndarray:
+        """coarse @ _interp, one GEMM per block of dense columns over its band of coarse rows."""
+        dense = np.empty((coarse.shape[0], self.eta_dense.size))
+        for rows, cols, band in self._bands:
+            np.matmul(coarse[:, rows], band, out=dense[:, cols])
+        return dense
 
     def field_values(self, t: float, y_center: float | None = None,
                      partner: CuspEvaluator | None = None) -> tuple[np.ndarray, np.ndarray, float]:
@@ -744,11 +793,15 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
     The windows are walked in order and evaluator k+1 is handed on as the next
     window's lower cusp, so at most two are alive at once.  Evaluator k+1 gets
     evaluator k's held Airy factor when their grids match: every n >= 1, and
-    n = 0 too once the reflection cutoff is wider than its spectral cut.
+    n = 0 too once the reflection cutoff is wider than its spectral cut.  Each
+    evaluator is built with the times of the windows it serves (k - 1 and k
+    for evaluator k), so its slices contract the factor up to 8 times at once
+    and it holds at most one (eta, x, 16) block (see :class:`CuspEvaluator`).
 
     ``region_norms`` lists, for each r in ``region_r``, the x-region split
     (:data:`~convexwave.normlab.REGION_SPEC`) of the t = 0 slice of u^0 alone,
-    taken from evaluator 0 before evaluator 1 is built.
+    taken from evaluator 0 before evaluator 1 is built; its contraction is the
+    first batch of the walk, so the walk's first pair slice reuses it.
     """
     a, c0 = params.a, params.c0
     root = math.sqrt((1.0 + a) * a)
@@ -762,7 +815,7 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
     checks = {}
     k_chk = big_n // 2 if big_n >= 2 else None  # the check needs cusps k_chk - 1 >= 0 and k_chk
     inner = np.empty(n_t)
-    hi = CuspEvaluator(params, 0, symbol=symbol)
+    hi = CuspEvaluator(params, 0, symbol=symbol, times=times[windows == 0])
     regions = []
     if region_r:
         initial = hi.field(0.0)
@@ -770,7 +823,8 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
         del initial
     for k in range(windows[-1] + 1):
         lo = hi  # frees evaluator k - 1 before k + 1 is built
-        hi = CuspEvaluator(params, k + 1, symbol=symbol) if k < big_n else None
+        hi = (CuspEvaluator(params, k + 1, symbol=symbol, times=times[(windows == k) | (windows == k + 1)])
+              if k < big_n else None)
         for i in np.flatnonzero(windows == k):
             vals, offsets, center = lo.field_values(times[i], partner=hi)
             inner[i] = grid_lr_norm(vals, lo.x, center + offsets, r)

@@ -201,7 +201,7 @@ class _ModeSynthesis:
         wx, wy = self._wx, self._wy
 
         def power(keep_x, keep_y):
-            return lr_power(self.basis[keep_x] @ profiles[:, keep_y], wx[keep_x], wy[keep_y], r)
+            return lr_power(self.basis[keep_x], wx[keep_x], wy[keep_y], r, right=profiles[:, keep_y])
 
         core_x, core_y = beta >= 0.5 * beta.max(initial=0.0), c >= 0.5 * c.max(initial=0.0)
         i0 = power(core_x, core_y)

@@ -20,22 +20,42 @@ class NormError(ValueError):
     pass
 
 
+_BLOCK_SAMPLES = 1 << 16  # samples per row block of the L^r reduction, so its temporaries stay in cache
+
+
 def grid_lr_norm(values: np.ndarray, x: np.ndarray, y: np.ndarray, r) -> float:
     """L^r norm of samples on an (x, y) rectangle; r = inf returns the max."""
     acc = lr_power(values, trapezoid_weights(x), trapezoid_weights(y), r)
     return acc if r == math.inf else acc ** (1.0 / r)
 
 
-def lr_power(values: np.ndarray, wx: np.ndarray, wy: np.ndarray, r) -> float:
-    """sum_ij wx_i |values_ij|^r wy_j, the r-th power of the L^r norm; r = inf returns the max."""
+def lr_power(values: np.ndarray, wx: np.ndarray, wy: np.ndarray, r, right=None) -> float:
+    """sum_ij wx_i |values_ij|^r wy_j, the r-th power of the L^r norm; r = inf returns the max.
+
+    With ``right`` given the samples are ``values @ right`` (see :func:`row_powers`).
+    """
+    rows = row_powers(values, wy, r, right)
+    return float(rows.max(initial=0.0)) if r == math.inf else float(np.dot(wx, rows))
+
+
+def row_powers(values: np.ndarray, wy: np.ndarray, r, right=None) -> np.ndarray:
+    """sum_j wy_j |values_ij|^r for each row i; r = inf gives each row's max.
+
+    The rows are taken in blocks of about ``_BLOCK_SAMPLES`` samples, and each
+    block is checked finite before its powers are summed.  With ``right`` given
+    the samples are ``values @ right``, formed one row block at a time, so the
+    product is never held whole.
+    """
     if not r >= 1:  # NaN fails too
         raise NormError(f"r must be >= 1, got {r}")
-    mod = np.abs(values)
-    if not np.isfinite(mod).all():
-        raise NormError("non-finite field samples")
-    if r == math.inf:
-        return float(mod.max(initial=0.0))
-    return float(np.einsum("i,ij,j->", wx, power_in_place(mod, r), wy))
+    out = np.empty(values.shape[0])
+    step = max(1, _BLOCK_SAMPLES // max(wy.size, 1))
+    for i in range(0, values.shape[0], step):
+        mod = np.abs(values[i : i + step] if right is None else values[i : i + step] @ right)
+        if not np.isfinite(mod).all():
+            raise NormError("non-finite field samples")
+        out[i : i + step] = mod.max(axis=1, initial=0.0) if r == math.inf else power_in_place(mod, r) @ wy
+    return out
 
 
 def power_in_place(mod: np.ndarray, r) -> np.ndarray:
@@ -208,28 +228,23 @@ def region_norms(field: WaveField, spec: NormRegionSpec, r, params: Semiclassica
     """L^r norms over the shelf / fold-band / far-side x-regions of a cusp field.
 
     The regional powers partition the full-grid quadrature sum exactly, so the
-    r-th powers add up to the total without boundary double counting.
+    r-th powers add up to the total without boundary double counting.  Every
+    region must hold a grid row, for every r.
     """
-    if not r >= 1:  # NaN fails too
-        raise NormError(f"r must be >= 1, got {r}")
+    rows = row_powers(field.values, trapezoid_weights(field.y), r)
     lo, hi = spec.boundaries(params)
     masks = {
         "shelf": field.x < lo,
         "fold": (field.x >= lo) & (field.x <= hi),
         "outer": field.x > hi,
     }
-    if r == math.inf:
-        return {name: grid_lr_norm(field.values[mask], field.x[mask], field.y, r)
-                for name, mask in masks.items() if np.any(mask)}
-    wx = trapezoid_weights(field.x)
-    wy = trapezoid_weights(field.y)
-    row_power = power_in_place(np.abs(field.values), r) @ wy
-    out = {}
     for name, mask in masks.items():
         if not np.any(mask):
             raise NormError(f"region '{name}' is empty on the grid")
-        out[name] = float(np.dot(wx[mask], row_power[mask])) ** (1.0 / r)
-    return out
+    if r == math.inf:
+        return {name: float(rows[mask].max()) for name, mask in masks.items()}
+    wx = trapezoid_weights(field.x)
+    return {name: float(np.dot(wx[mask], rows[mask])) ** (1.0 / r) for name, mask in masks.items()}
 
 
 @dataclass

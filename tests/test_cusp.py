@@ -11,7 +11,9 @@ import pytest
 from convexwave.airy import _LEADING, _UK, AiryTable
 from convexwave.fields import FrequencyWindow, trapezoid_weights
 from convexwave.params import make_params
+import convexwave.cusp as cw_cusp
 from convexwave.cusp import (
+    _BATCH,
     CuspError,
     CuspEvaluator,
     GlidingRegimeError,
@@ -856,6 +858,127 @@ def test_held_factor_memory_guard():
         tracemalloc.stop()
         _HELD.entry = None
     assert peak <= 121.0 * 2**20
+
+
+@pytest.mark.parametrize("opts", [{}, {"n_x": 48}, {"n_eta_dense": 512}, {"n_fft": 2048}])
+def test_banded_interpolation_equals_the_dense_matrix(opts):
+    # the blocks of dense columns and their bands of coarse rows cover every
+    # nonzero of the (n_eta, n_eta_dense) cubic matrix, whatever the grids
+    ev = CuspEvaluator(make_params(2.0**-12, 0.1, 0.25), 0, **opts)
+    covered = np.zeros(ev._interp.shape, dtype=bool)
+    for rows, cols, band in ev._bands:
+        covered[rows, cols] = True
+        assert band.shape[0] <= 16
+    assert not ev._interp[~covered].any()
+    rng = np.random.default_rng(7)
+    t = 0.3 * math.sqrt((1.0 + ev.params.a) * ev.params.a)
+    slice_rows = ev._coarse(t).transpose(2, 1, 0).reshape(-1, ev.eta.size)
+    for coarse in (slice_rows, rng.normal(size=slice_rows.shape)):
+        expected = coarse @ ev._interp
+        assert np.abs(ev._interpolate(coarse) - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def _counting_contractions(monkeypatch):
+    """Spies on the Airy contractions: the number of times each contracts, and
+    whether it ran inside a CuspEvaluator.field_values call."""
+    calls, depth = [], [0]
+    contract, field_values = cw_cusp._contract, CuspEvaluator.field_values
+
+    def counting_contract(airy, weights, xi, w):
+        calls.append((len(w), depth[0] > 0))
+        return contract(airy, weights, xi, w)
+
+    def nested_field_values(self, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return field_values(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cw_cusp, "_contract", counting_contract)
+    monkeypatch.setattr(CuspEvaluator, "field_values", nested_field_values)
+    return calls
+
+
+@pytest.mark.parametrize("with_partner", [False, True])
+def test_batched_slices_equal_single_slices(monkeypatch, with_partner):
+    # window 0 at 2^-12 with 11 planned times runs two batches (8 + 3) per
+    # evaluator; every slice equals the unplanned one, and no more than one
+    # block of at most _BATCH times is held at once
+    params = make_params(2.0**-12, 0.1, 0.25)
+    root = math.sqrt((1.0 + params.a) * params.a)
+    times = np.linspace(0.0, 4.0 * root, 12)[:-1]
+    lo = CuspEvaluator(params, 0, n_x=40, times=times)
+    hi = CuspEvaluator(params, 1, n_x=40, symbol=lo.symbol, times=times) if with_partner else None
+    ref_lo = CuspEvaluator(params, 0, n_x=40, symbol=lo.symbol)
+    ref_hi = CuspEvaluator(params, 1, n_x=40, symbol=lo.symbol) if with_partner else None
+    calls = _counting_contractions(monkeypatch)
+    for t in times:
+        vals, offsets, center = lo.field_values(t, partner=hi)
+        for ev in (lo, hi) if with_partner else (lo,):
+            assert ev._held is None or ev._held[1].shape[-1] <= 2 * _BATCH
+        ref = ref_lo.field_values(t, partner=ref_hi)
+        np.testing.assert_array_equal(offsets, ref[1])
+        assert center == ref[2]
+        assert np.abs(vals - ref[0]).max() <= 1e-14 * np.abs(ref[0]).max()
+    assert lo._held is None and lo._planned == []
+    per_evaluator = 2 if with_partner else 1
+    assert sorted(m for m, _ in calls if m > 1) == [3] * per_evaluator + [_BATCH] * per_evaluator
+
+
+def test_held_block_is_capped_at_batch_times():
+    # at 160 eta x 320 x nodes a batch of 8 times holds 6.25 MiB, whatever the window length
+    params = make_params(2.0**-12, 0.1, 0.25)
+    root = math.sqrt((1.0 + params.a) * params.a)
+    times = np.linspace(0.0, 8.0 * root, 40)
+    ev = CuspEvaluator(params, 1, times=times)
+    held = 0
+    for t in times[:20]:
+        ev.field_values(t)
+        if ev._held is not None:
+            held += 1
+            assert ev._held[1].shape == (160, 320, 2 * _BATCH)
+            assert ev._held[1].nbytes <= 6.25 * 2**20
+    assert held == 20 - 20 // _BATCH  # dropped after the last time of each batch
+
+
+def _walk_contractions(e, samples):
+    """The contractions that the window walk should run: one per batch of
+    planned times per evaluator (evaluator k serves windows k - 1 and k), plus
+    one per cusp of the third-cusp check."""
+    params = make_params(2.0**-e, 0.1, 0.25)
+    root = math.sqrt((1.0 + params.a) * params.a)
+    big_n = params.n_reflections
+    times = np.linspace(0.0, 1.0, int(math.ceil(samples / root)) + 1)
+    windows = np.clip(np.floor(times / (4.0 * root)), 0, big_n).astype(int)
+    served = [np.count_nonzero((windows == k - 1) | (windows == k))
+              for k in range(min(big_n, windows[-1] + 1) + 1)]
+    return params, sum(-(-count // _BATCH) for count in served) + (2 if big_n >= 2 else 0)
+
+
+@pytest.fixture(scope="module")
+def spied_walk():
+    params, expected = _walk_contractions(16, 9)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _counting_contractions(monkeypatch)
+        out = uh_mixed_norms(params, q=6.0, r=6.0, samples_per_sqrt_a=9, region_r=(6.0,))
+    return out, calls, expected
+
+
+def test_uh_mixed_norms_contracts_once_per_batch(spied_walk):
+    # the t = 0 region split takes its contraction from the first batch of the
+    # walk, so it adds none; the two slices of the third-cusp check add one each
+    out, calls, expected = spied_walk
+    assert out["region_norms"] and out["reliable"]
+    assert len(calls) == expected
+    assert max(m for m, _ in calls) == _BATCH
+
+
+def test_every_walk_contraction_runs_inside_field_values(spied_walk):
+    # the benchmark attributes the slice work to CuspEvaluator.field_values,
+    # so the batched contractions must run inside that call
+    _, calls, _ = spied_walk
+    assert calls and all(inside for _, inside in calls)
 
 
 @pytest.mark.parametrize("opts", [{"n_x": 48}, {"n_eta_dense": 512}, {"n_fft": 2048}])

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from convexwave.fields import WaveField
+import convexwave.normlab as cw_normlab
+from convexwave.fields import WaveField, trapezoid_weights
 from convexwave.normlab import (
     NormError,
     NormRegionSpec,
@@ -15,6 +16,7 @@ from convexwave.normlab import (
     grid_lr_norm,
     lqlr_norm,
     lr_norm,
+    lr_power,
     power_in_place,
     region_norms,
 )
@@ -177,11 +179,64 @@ def test_region_norms_validation(cusp_setup):
         NormRegionSpec(M=1.0)
     with pytest.raises(ValueError, match="exceeds"):
         NormRegionSpec(A=params.a * 2.0).boundaries(params)
-    # the regional powers skip lr_power, so region_norms checks r itself
+    # region_norms checks r through the shared row reduction, before any array work
     with pytest.raises(NormError, match="r must be >= 1"):
         region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), 0.5, params)
     with pytest.raises(NormError, match="r must be >= 1"):
         region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), math.nan, params)
+
+
+def test_region_norms_rejects_non_finite_samples(cusp_setup):
+    # the regional sums go through the same checked reduction as lr_norm
+    params, fld = cusp_setup
+    values = fld.values.copy()
+    values[values.shape[0] // 2, 7] = np.nan
+    broken = WaveField(values=values, x=fld.x, y=fld.y, h=fld.h, t=fld.t)
+    for r in (2, 6, 2.5, math.inf):
+        with pytest.raises(NormError, match="non-finite field samples"):
+            lr_norm(broken, r)
+        with pytest.raises(NormError, match="non-finite field samples"):
+            region_norms(broken, NormRegionSpec(M=2.0, outer_margin=0.2), r, params)
+
+
+def test_region_norms_rejects_an_empty_region_at_every_r(cusp_setup):
+    # x inside [0, a/2] holds only shelf rows: the fold band and the far side are empty
+    params, _ = cusp_setup
+    x = np.linspace(0.0, 0.5 * params.a, 9)
+    fld = WaveField(values=np.ones((9, 5), dtype=complex), x=x, y=np.linspace(0.0, 1.0, 5),
+                    h=params.h, t=0.0)
+    for r in (2, 6, math.inf):
+        with pytest.raises(NormError, match="region 'fold' is empty on the grid"):
+            region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), r, params)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 6, 8, 2.5, math.inf])
+@pytest.mark.parametrize("shape, block", [((37, 4096), None), ((37, 64), 3 * 64), ((5, 3), 1 << 16)])
+def test_block_reduction_equals_the_whole_array_sum(rng, monkeypatch, r, shape, block):
+    # the row blocks (16 rows at the default 2^16 samples, 3 rows at 3 * 64)
+    # do not divide 37 rows; the sum and the max match the whole-array formula
+    if block is not None:
+        monkeypatch.setattr(cw_normlab, "_BLOCK_SAMPLES", block)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    wx = trapezoid_weights(np.linspace(0.0, 1.0, shape[0]))
+    wy = trapezoid_weights(np.linspace(0.0, 2.0, shape[1]))
+    mod = np.abs(values)
+    expected = mod.max() if r == math.inf else float(np.sum(wx[:, None] * mod**r * wy[None, :]))
+    assert lr_power(values, wx, wy, r) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    values[-1, -1] = np.nan  # in the last, partial block
+    with pytest.raises(NormError, match="non-finite field samples"):
+        lr_power(values, wx, wy, r)
+
+
+@pytest.mark.parametrize("r", [2, 6, math.inf])
+def test_block_reduction_of_a_product(rng, monkeypatch, r):
+    # with right given, the samples values @ right are formed one row block at a time
+    monkeypatch.setattr(cw_normlab, "_BLOCK_SAMPLES", 5 * 300)
+    left = rng.normal(size=(23, 4)) + 1j * rng.normal(size=(23, 4))
+    right = rng.normal(size=(4, 300)) + 1j * rng.normal(size=(4, 300))
+    wx, wy = rng.random(23), rng.random(300)
+    expected = lr_power(left @ right, wx, wy, r)
+    assert lr_power(left, wx, wy, r, right=right) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_counterexample_rejects_small_r():
