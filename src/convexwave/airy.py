@@ -2,7 +2,7 @@
 
 The evaluator uses a Taylor-series method for |z| <= 8 (local re-expansions of
 the Maclaurin series around a table of anchor points, whose values are summed
-once at import in 50-digit ``decimal`` arithmetic) and truncated asymptotic
+in 50-digit ``decimal`` arithmetic on the first call) and truncated asymptotic
 expansions beyond, blended continuously across a window around |z| = 8.  The
 two branches A^+/A^- carry the standard coefficients u_k; their leading
 constant is calibrated against the evaluator so that Ai(-z) = A^+(-z) + A^-(-z)
@@ -11,6 +11,7 @@ holds numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -38,9 +39,12 @@ class AiryError(ValueError):
     pass
 
 
-def _build_anchor_table():
-    """Anchor values of (Ai, Ai') on |z| <= _ANCHOR_MAX plus local Taylor rows.
+@functools.cache
+def _anchor_table():
+    """(centers, cols): the anchors on |z| <= _ANCHOR_MAX and their local Taylor rows,
+    ``cols[n]`` holding the n-th coefficient of every anchor (``cols[0]`` Ai, ``cols[1]`` Ai').
 
+    Built on the first call, so importing the package does no numeric work.
     The 240-term Maclaurin series loses up to 15 digits to cancellation on
     this range, so the coefficients and both Horner sums run in 50-digit
     ``decimal`` arithmetic; each anchor is rounded to float once.
@@ -67,11 +71,8 @@ def _build_anchor_table():
                 prev = local[n - 1] if n >= 1 else 0.0
                 local[n + 2] = (zc * local[n] + prev) / ((n + 1) * (n + 2))
             rows[i] = local
-    return centers, rows
+    return centers, np.ascontiguousarray(rows.T)
 
-
-_ANCHOR_CENTERS, _ANCHOR_ROWS = _build_anchor_table()
-_ANCHOR_COLS = np.ascontiguousarray(_ANCHOR_ROWS.T)
 
 # asymptotic coefficients u_k (u_0 = 1, ratio (6k+1)(6k+3)(6k+5)/(216(k+1)(2k+1)))
 _UK = np.ones(26)
@@ -81,12 +82,12 @@ for _k in range(25):
 
 def _taylor_core(z):
     """Blended two-anchor local Taylor evaluation, valid |z| <= BLEND_HI."""
+    centers, cols = _anchor_table()
     pos = (z + _ANCHOR_MAX) / _ANCHOR_STEP
-    i0 = np.clip(np.floor(pos).astype(int), 0, _ANCHOR_CENTERS.size - 2)
+    i0 = np.clip(np.floor(pos).astype(int), 0, centers.size - 2)
     w = pos - i0
-    e0 = z - _ANCHOR_CENTERS[i0]
+    e0 = z - centers[i0]
     e1 = e0 - _ANCHOR_STEP
-    cols = _ANCHOR_COLS
     acc0 = np.zeros_like(z)
     acc1 = np.zeros_like(z)
     i1 = i0 + 1
@@ -202,17 +203,17 @@ def cubic_interpolate(coef: np.ndarray, pos: np.ndarray, out: np.ndarray | None 
     """Evaluate the cubics of :func:`cubic_coefficients` at fractional node indices ``pos``.
 
     Positions outside [1, n-2] extrapolate the nearest full-stencil cubic.  One
-    gather per coefficient, each feeding a Horner step done in place in
-    ``out`` (shape ``pos.shape + coef.shape[2:]``).
+    gather per coefficient, into ``out`` (shape ``pos.shape + coef.shape[2:]``)
+    or one reused buffer, each feeding a Horner step done in place in ``out``.
     """
-    i = np.clip(pos.astype(int), 1, coef.shape[1] - 3)
+    i = pos.astype(int)
+    np.clip(i, 1, coef.shape[1] - 3, out=i)
     t = (pos - i).reshape(pos.shape + (1,) * (coef.ndim - 2))
-    out = np.multiply(coef[3].take(i, axis=0), t, out=out)
-    out += coef[2].take(i, axis=0)
-    out *= t
-    out += coef[1].take(i, axis=0)
-    out *= t
-    out += coef[0].take(i, axis=0)
+    out = coef[3].take(i, axis=0, out=out, mode="clip")
+    gather = np.empty_like(out)
+    for k in (2, 1, 0):
+        out *= t
+        out += coef[k].take(i, axis=0, out=gather, mode="clip")
     return out
 
 
@@ -221,8 +222,9 @@ class AiryTable:
 
     Build time stores the four-point cubic of every node as one (4, n)
     coefficient table (four contiguous columns); a lookup gathers each column
-    once and runs an in-place Horner step, in cache-sized blocks.  Values are
-    bit-identical to evaluating the four-point formula from the node values.
+    once and runs an in-place Horner step, in cache-sized blocks, into the
+    caller's ``out`` when one is given.  Values are bit-identical to
+    evaluating the four-point formula from the node values.
     Interpolation error is far below the quadrature tolerances of the field
     evaluators (the grid oversamples the local Airy oscillation ~80x).
     """
@@ -237,14 +239,15 @@ class AiryTable:
         self.values = ai(self.grid)
         self.coef = cubic_coefficients(self.values)
 
-    def __call__(self, v):
+    def __call__(self, v, out: np.ndarray | None = None) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         flat = v.ravel()
-        out = np.empty(flat.shape)
+        out = np.empty(v.shape) if out is None else out  # a C-contiguous float array of v's shape
+        flat_out = np.reshape(out, flat.shape, copy=False)
         for j in range(0, flat.size, _LOOKUP_BLOCK):
             block = slice(j, j + _LOOKUP_BLOCK)
-            cubic_interpolate(self.coef, (flat[block] - self.lo) / self.step, out[block])
-        return out.reshape(v.shape)
+            cubic_interpolate(self.coef, (flat[block] - self.lo) / self.step, flat_out[block])
+        return out
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .airy import _LEADING, _UK, AiryTable, _branch_series, cubic_coefficients, cubic_interpolate
 from .fields import FrequencyWindow, WaveField
-from .normlab import REGION_SPEC, grid_lr_norm, lqlr_norm, region_norms
+from .normlab import _BLOCK_SAMPLES, REGION_SPEC, grid_lr_norm, lqlr_norm, region_norms
 from .params import SemiclassicalParams, reflection_count
 
 __all__ = [
@@ -362,8 +362,9 @@ class _YAssembly:
     offsets j * 2 pi h / (n_fft deta), j = -n_fft/2 .. n_fft/2 - 1, followed
     by the precomputed carrier e^{i eta_0 y / h}.  The fftshift to that order
     is folded into the input as the signs (-1)^e (``signs``), which callers
-    multiply into their eta samples beforehand; the identity needs an even
-    n_fft.  The quadrature step ``deta`` is left to the caller.
+    multiply into their eta samples beforehand with any centre shift
+    (``move``); the identity needs an even n_fft.  The quadrature step
+    ``deta`` is left to the caller.
     """
 
     def __init__(self, eta: np.ndarray, h: float, n_fft: int):
@@ -377,46 +378,35 @@ class _YAssembly:
         self.deta = deta
         self.carrier = np.exp(1j * (eta[0] / h) * self.offsets)
 
-    def head(self, real: np.ndarray, imag: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """The zero-padded FFT input whose head holds the signed eta samples real + i imag.
-
-        A nonzero ``shift`` moves the y-centre: the samples are multiplied by
-        e^{i eta shift / h}.
-        """
-        padded = np.zeros(real.shape[:-1] + (self.n_fft,), dtype=complex)
-        head = padded[..., : self.eta.size]
-        head.real = real
-        head.imag = imag
+    def move(self, samples: np.ndarray, shift: float) -> np.ndarray:
+        """``samples`` with their y-centre moved by ``shift``: multiplied in place by e^{i eta shift / h}."""
         if shift != 0.0:
-            head *= self._phase(shift)
-        return padded
+            samples *= np.exp(1j * (self.eta / self.h) * shift)
+        return samples
 
-    def add(self, padded: np.ndarray, real: np.ndarray, imag: np.ndarray, shift: float) -> None:
-        """Adds the shifted samples real + i imag into the head of ``padded``.
+    def assemble(self, samples: np.ndarray) -> np.ndarray:
+        """The y-samples of the signed eta samples ``samples`` (rows of eta.size), in a fresh array.
 
-        The sum is linear, so one FFT of the summed head assembles both terms.
+        Each block of about ``_BLOCK_SAMPLES`` output samples gets its rows'
+        samples and a zero tail, then its FFT and carrier, in cache; no
+        zero-padded copy of all rows is made.
         """
-        term = np.empty(real.shape, dtype=complex)
-        term.real = real
-        term.imag = imag
-        term *= self._phase(shift)
-        padded[..., : self.eta.size] += term
-
-    def finish(self, padded: np.ndarray) -> np.ndarray:
-        """The y-samples of a filled FFT input, computed in its buffer."""
-        np.fft.ifft(padded, axis=-1, norm="forward", out=padded)
-        padded *= self.carrier
-        return padded
-
-    def _phase(self, shift: float) -> np.ndarray:
-        return np.exp(1j * (self.eta / self.h) * shift)
+        rows = samples.reshape(-1, self.eta.size)
+        out = np.empty((rows.shape[0], self.n_fft), dtype=complex)
+        step = max(1, _BLOCK_SAMPLES // self.n_fft)
+        for i in range(0, rows.shape[0], step):
+            block = out[i : i + step]
+            block[:, : self.eta.size] = rows[i : i + step]
+            block[:, self.eta.size :] = 0.0
+            np.fft.ifft(block, axis=-1, norm="forward", out=block)
+            block *= self.carrier
+        return out.reshape(samples.shape[:-1] + (self.n_fft,))
 
 
 # The xi cuts of the field and the trace (share of the spectrum's peak); they differ on
 # purpose: a 1e-13 trace cut moves the dirichlet_residual ratio at 2^-20 by 2.4e-11 relative.
 _KEEP_TOL = 1e-13
 _TRACE_KEEP_TOL = 1e-14
-_X_CHUNK = 80  # x-rows per fill step of the Airy factor; bounds the argument temporaries
 _BATCH = 8  # planned times per Airy contraction; caps the held (eta, x, 2 _BATCH) block
 _BAND_COLUMNS = 32  # dense eta columns per block of the banded eta interpolation
 _HELD = threading.local()  # per thread: the last filled Airy factor and its key
@@ -444,8 +434,9 @@ def _spectral_setup(params: SemiclassicalParams, n: int, symbol: CuspSymbol, eta
 
 
 def _airy_factor(h: float, a: float, x: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Ai((eta/h)^{2/3}(x-a) + (h/eta)^{1/3} a^{-1/2} xi)[eta, x, xi], held per thread for the next
-    build on the same h, a and grids: they alone fix the arguments and table, so a hit equals a fill."""
+    """Ai((eta/h)^{2/3}(x-a) + (h/eta)^{1/3} a^{-1/2} xi)[eta, x, xi], filled one eta row at a time
+    from one reused (x, xi) argument buffer and held per thread for the next build on the same
+    h, a and grids: they alone fix the arguments and table, so a hit equals a fill."""
     held = getattr(_HELD, "entry", None)
     if held is not None and all(map(np.array_equal, held[0], (h, a, x, eta, xi))):
         return held[1]
@@ -456,9 +447,11 @@ def _airy_factor(h: float, a: float, x: np.ndarray, eta: np.ndarray, xi: np.ndar
     args_hi = alpha.max() * (x.max() - a) + beta.max() * max(xi.max(), 0.0)
     table = AiryTable(min(args_lo, -5.0) - 2.0, max(args_hi, 5.0) + 2.0)
     factor = np.empty((eta.size, x.size, xi.size))
-    for i0 in range(0, x.size, _X_CHUNK):
-        xs = x[i0 : i0 + _X_CHUNK]
-        factor[:, i0 : i0 + _X_CHUNK] = table(alpha[:, None, None] * (xs[None, :, None] - a) + beta[:, None, None] * xi)
+    arg = np.empty((x.size, xi.size))  # one eta row's arguments, reused
+    for e in range(eta.size):
+        np.multiply(alpha[e], (x - a)[:, None], out=arg)
+        arg += beta[e] * xi
+        table(arg, out=factor[e])
     factor.flags.writeable = False  # every evaluator on this key reads the same array
     _HELD.entry = ((h, a, x.copy(), eta.copy(), xi.copy()), factor)
     return factor
@@ -493,12 +486,13 @@ class CuspEvaluator:
     at build, which the coming slices ask for in order, are contracted up to
     ``_BATCH`` at once, as 2 ``_BATCH`` columns of one matmul, and the
     (eta, x, 2m) block (6.25 MiB at 160 x 320 and m = 8) is held until its last
-    time is sliced; any other time is contracted alone and nothing is held.  The slice is then interpolated to
-    the dense eta grid and assembled on y-offsets by one zero-padded inverse
-    FFT.  The interpolation is a real (n_eta, n_eta_dense) matrix of the
-    four-point cubic, applied to the real and imaginary parts stacked as rows,
-    one GEMM per block of ``_BAND_COLUMNS`` dense columns over the band of
-    coarse rows that the block reads (the rest of the matrix is zero); its
+    time is sliced; any other time is contracted alone and nothing is held.
+    The slice is then interpolated to complex (n_x, n_eta_dense) samples, to
+    which a partner adds its own, and assembled on y-offsets 16 rows at a time
+    (:meth:`_YAssembly.assemble`).  The interpolation is the four-point cubic
+    as a real (n_eta, n_eta_dense) matrix, applied to the real and imaginary
+    parts stacked as rows, one GEMM per block of ``_BAND_COLUMNS`` dense
+    columns over the band of coarse rows that it reads (the rest is zero); its
     columns carry the quadrature step deta and the signs (-1)^e that fold the
     fftshift of the y-offsets into the FFT, so ``n_fft`` must be even.
     """
@@ -565,12 +559,16 @@ class CuspEvaluator:
             self._held = None
         return block[..., 2 * j : 2 * j + 2]
 
-    def _dense(self, t: float) -> tuple[np.ndarray, float]:
-        """(dense, natural_center): the signed, deta-weighted samples on the dense eta grid
-        at time t, real rows stacked over imaginary rows, and the cusp's own y-centre."""
+    def _samples(self, t: float, center: float | None = None) -> tuple[np.ndarray, float]:
+        """(samples, center): the signed, deta-weighted complex samples [x, eta_dense] at time t,
+        moved from the cusp's own y-centre to ``center`` (by default that own centre)."""
         a = self.params.a
-        natural_center = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * self.n * a**1.5
-        return self._interpolate(self._coarse(t).transpose(2, 1, 0).reshape(-1, self.eta.size)), natural_center
+        natural = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * self.n * a**1.5
+        center = natural if center is None else float(center)
+        dense = self._interpolate(self._coarse(t).transpose(2, 1, 0).reshape(-1, self.eta.size))
+        samples = dense[: self.x.size].astype(complex)
+        samples.imag = dense[self.x.size :]
+        return self._y.move(samples, center - natural), center
 
     def _interpolate(self, coarse: np.ndarray) -> np.ndarray:
         """coarse @ _interp, one GEMM per block of dense columns over its band of coarse rows."""
@@ -581,26 +579,20 @@ class CuspEvaluator:
 
     def field_values(self, t: float, y_center: float | None = None,
                      partner: CuspEvaluator | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-        """(values, y_offsets, y_center) of the cusp at time t.
+        """(values, y_offsets, y_center) of the cusp at time t, in a fresh array.
 
         With a ``partner`` evaluator on the same grids the values are those of
-        u^self + u^partner on self's y-centre: the partner's dense eta samples,
-        moved to that centre, are added before the one y-assembly.
+        u^self + u^partner on self's y-centre: the partner's eta samples, moved
+        to that centre, are added before the one y-assembly.
         """
         if partner is not None and not (
                 partner.n_fft == self.n_fft and partner.params == self.params
                 and np.array_equal(partner.x, self.x) and np.array_equal(partner.eta_dense, self.eta_dense)):
             raise CuspError("a partner cusp must share params, x, eta_dense and n_fft")
-        dense, natural_center = self._dense(t)
-        center = natural_center if y_center is None else float(y_center)
-        n_x = self.x.size
-        padded = self._y.head(dense[:n_x], dense[n_x:], center - natural_center)
-        del dense  # no two dense slices are alive at once
+        samples, center = self._samples(t, y_center)
         if partner is not None:
-            dense, partner_center = partner._dense(t)
-            self._y.add(padded, dense[:n_x], dense[n_x:], center - partner_center)
-            del dense
-        return self._y.finish(padded), self._y.offsets, center
+            samples += partner._samples(t, center)[0]
+        return self._y.assemble(samples), self._y.offsets, center
 
     def field(self, t: float, y_center: float | None = None) -> WaveField:
         vals, offsets, center = self.field_values(t, y_center)
@@ -682,9 +674,8 @@ class TraceEvaluator:
             raise CuspError(f"trace argument z - 2n = {w:.2f} outside [-3, 3]")
         natural = self.y_center(t)
         center = natural if y_center is None else float(y_center)
-        vals_eta = self._weights @ np.exp(1j * self.xi * w)
-        vals = self._y.finish(self._y.head(vals_eta.real, vals_eta.imag, center - natural))
-        vals *= self._y.deta
+        samples = self._y.move(self._weights @ np.exp(1j * self.xi * w), center - natural)
+        vals = self._y.assemble(samples) * self._y.deta
         return TraceSignal(values=vals, y=center + self._y.offsets, y_center=center, t=t,
                            n=self.n, sign=self.sign)
 
@@ -797,6 +788,8 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
     evaluator is built with the times of the windows it serves (k - 1 and k
     for evaluator k), so its slices contract the factor up to 8 times at once
     and it holds at most one (eta, x, 16) block (see :class:`CuspEvaluator`).
+    At most one (n_x, n_fft) slice is alive: each is dropped after its norms,
+    and the third-cusp check takes its two norms one after the other.
 
     ``region_norms`` lists, for each r in ``region_r``, the x-region split
     (:data:`~convexwave.normlab.REGION_SPEC`) of the t = 0 slice of u^0 alone,
@@ -830,13 +823,14 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
             inner[i] = grid_lr_norm(vals, lo.x, center + offsets, r)
             if i == 0:
                 l2_initial = grid_lr_norm(vals, lo.x, center + offsets, 2)
+            del vals  # one slice alive at a time
         if k + 1 == k_chk:  # both cusps of the check are alive: k_chk - 1 (lo) and k_chk (hi)
             t_chk = (4.0 * k_chk + 2.0) * root  # gap apex between k_chk and k_chk + 1
             vals, offsets, center = hi.field_values(t_chk)
-            third = lo.field_values(t_chk, center)[0]
             y = center + offsets
-            checks["third_cusp_fraction"] = (grid_lr_norm(third, lo.x, y, r)
-                                             / max(grid_lr_norm(vals, hi.x, y, r), 1e-300))
+            own = max(grid_lr_norm(vals, hi.x, y, r), 1e-300)
+            del vals
+            checks["third_cusp_fraction"] = grid_lr_norm(lo.field_values(t_chk, center)[0], lo.x, y, r) / own
     lqlr = lqlr_norm(inner, times, float(q))
     return {
         "lqlr": lqlr,

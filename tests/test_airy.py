@@ -13,14 +13,13 @@ import pytest
 
 import convexwave
 from convexwave.airy import (
-    _ANCHOR_CENTERS,
-    _ANCHOR_ROWS,
     _LEADING,
     _UK,
     BLEND_HI,
     BLEND_LO,
     AiryError,
     AiryTable,
+    _anchor_table,
     _blend_weight,
     _taylor_core,
     ai,
@@ -59,19 +58,24 @@ def test_matches_mpmath_wide_range(rng):
 
 def test_anchors_are_correctly_rounded():
     # each anchor (Ai, Ai') is the float nearest the true value at its centre
+    centers, cols = _anchor_table()
     with mp.workdps(50):
-        for zc, row in zip(_ANCHOR_CENTERS, _ANCHOR_ROWS):
+        for zc, value, slope in zip(centers, cols[0], cols[1]):
             z = mp.mpf(float(zc))
-            assert row[0] == float(mp.airyai(z))
-            assert row[1] == float(mp.airyai(z, derivative=1))
+            assert value == float(mp.airyai(z))
+            assert slope == float(mp.airyai(z, derivative=1))
 
 
 def test_import_leaves_decimal_context_alone():
-    # the anchor build raises the decimal precision only inside a local context
+    # importing the package does no numeric work: the anchors are built by the
+    # first ai call, which raises the decimal precision only inside a local context
     env = dict(os.environ, PYTHONPATH=str(Path(convexwave.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", "import convexwave, decimal; print(decimal.getcontext().prec)"],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    assert int(out) == decimal.DefaultContext.prec
+    script = ("import convexwave.cli, decimal; from convexwave.airy import _anchor_table, ai; "
+              "print(_anchor_table.cache_info().currsize); ai(0.5); "
+              "print(_anchor_table.cache_info().currsize, decimal.getcontext().prec)")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["0", "1", str(decimal.DefaultContext.prec)]
 
 
 def test_ode_finite_difference_residual():
@@ -214,6 +218,10 @@ def test_airy_table_lookup_bit_identical_to_four_point_formula(rng):
     got = table(v)
     assert got.shape == v.shape
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # into a caller's buffer: filled in place and returned, edges included
+    out = np.full(v.shape, np.nan)
+    assert table(v, out=out) is out
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("sign", [+1, -1])

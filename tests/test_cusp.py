@@ -860,6 +860,85 @@ def test_held_factor_memory_guard():
     assert peak <= 121.0 * 2**20
 
 
+def test_uh_mixed_norms_holds_one_slice_at_a_time():
+    # at 2^-10 (N = 1) the walk peaks at both Airy factors, the two held
+    # contraction blocks, one (n_x, n_fft) slice and its (n_x, n_eta_dense)
+    # samples, plus 6 MiB for the symbol and the evaluators' small tables; a
+    # second slice alive adds 20 MiB (155.5 MiB with a zero-filled pad per slice)
+    params = make_params(2.0**-10, 0.1, 0.25)
+    xi_sizes = [CuspEvaluator(params, n, n_x=8).xi.size for n in (0, 1)]
+    _HELD.entry = None
+    n_x, n_eta, n_eta_dense, n_fft = 320, 160, 1024, 4096
+    bound = (8 * n_eta * n_x * (sum(xi_sizes) + 2 * 2 * _BATCH)
+             + 16 * n_x * (n_fft + n_eta_dense) + 6 * 2**20)
+    tracemalloc.start()
+    try:
+        uh_mixed_norms(params, q=6, r=6, samples_per_sqrt_a=3, region_r=(6,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _HELD.entry = None
+    assert peak <= bound
+
+
+def test_airy_factor_fill_makes_no_argument_chunk():
+    # the table fills the factor one eta row at a time from one reused (x, xi)
+    # argument buffer, so a fill at 2^-10 peaks within 2 MiB of its 77 MiB
+    # factor (factor + 39 MiB with (eta, 80, xi) argument chunks and a copy of each lookup)
+    params = make_params(2.0**-10, 0.1, 0.25)
+    ev = CuspEvaluator(params, 0, n_x=8)
+    x = np.linspace(0.0, 2.0 * params.a, 320)
+    _HELD.entry = None
+    tracemalloc.start()
+    try:
+        factor = cw_cusp._airy_factor(params.h, params.a, x, ev.eta, ev.xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _HELD.entry = None
+    assert factor.shape == (160, 320, ev.xi.size)
+    assert peak <= factor.nbytes + 2 * 2**20
+
+
+@pytest.mark.parametrize("e", [10, 22])
+def test_airy_factor_equals_the_broadcast_formula(monkeypatch, e):
+    # the row-by-row fill equals one lookup of the whole (eta, x, xi) argument array, bit for bit
+    params = make_params(2.0**-e, 0.1, 0.25)
+    tables, init = [], AiryTable.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        tables.append(self)
+
+    monkeypatch.setattr(AiryTable, "__init__", spy)
+    _HELD.entry = None
+    ev = CuspEvaluator(params, 0, n_x=48)
+    _HELD.entry = None
+    h, a = params.h, params.a
+    alpha = (ev.eta / h) ** (2.0 / 3.0)
+    beta = (h / ev.eta) ** (1.0 / 3.0) / math.sqrt(a)
+    expected = tables[0](alpha[:, None, None] * (ev.x[None, :, None] - a) + beta[:, None, None] * ev.xi)
+    assert len(tables) == 1
+    assert np.array_equal(ev._airy.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("rows", [(50,), ()])
+def test_assemble_equals_one_zero_padded_ifft(rows):
+    # the y-assembly runs in blocks of 16 rows; 50 rows end in a partial block,
+    # and a trace signal is one row: each equals one zero-padded inverse FFT
+    # of all rows times the carrier, bit for bit, in a fresh array
+    eta = np.linspace(*FrequencyWindow().support, 1024)
+    assembly = cw_cusp._YAssembly(eta, 2.0**-12, 4096)
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=rows + (1024,)) + 1j * rng.normal(size=rows + (1024,))
+    padded = np.zeros(rows + (4096,), dtype=complex)
+    padded[..., :1024] = samples
+    expected = np.fft.ifft(padded, axis=-1, norm="forward") * assembly.carrier
+    got = assembly.assemble(samples)
+    assert got.shape == expected.shape and not np.shares_memory(got, samples)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 @pytest.mark.parametrize("opts", [{}, {"n_x": 48}, {"n_eta_dense": 512}, {"n_fft": 2048}])
 def test_banded_interpolation_equals_the_dense_matrix(opts):
     # the blocks of dense columns and their bands of coarse rows cover every
@@ -878,25 +957,38 @@ def test_banded_interpolation_equals_the_dense_matrix(opts):
         assert np.abs(ev._interpolate(coarse) - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
-def _counting_contractions(monkeypatch):
+def _counting_contractions(monkeypatch, ffts=None):
     """Spies on the Airy contractions: the number of times each contracts, and
-    whether it ran inside a CuspEvaluator.field_values call."""
-    calls, depth = [], [0]
-    contract, field_values = cw_cusp._contract, CuspEvaluator.field_values
+    whether it ran inside a CuspEvaluator.field_values call.  With ``ffts``
+    given, each numpy.fft.ifft call appends whether it ran inside field_values
+    and whether it ran inside make_symbol."""
+    calls, depth = [], {"field": 0, "symbol": 0}
+    contract = cw_cusp._contract
 
     def counting_contract(airy, weights, xi, w):
-        calls.append((len(w), depth[0] > 0))
+        calls.append((len(w), depth["field"] > 0))
         return contract(airy, weights, xi, w)
 
-    def nested_field_values(self, *args, **kwargs):
-        depth[0] += 1
-        try:
-            return field_values(self, *args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def nested(key, fn):
+        def wrapped(*args, **kwargs):
+            depth[key] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[key] -= 1
+        return wrapped
 
     monkeypatch.setattr(cw_cusp, "_contract", counting_contract)
-    monkeypatch.setattr(CuspEvaluator, "field_values", nested_field_values)
+    monkeypatch.setattr(CuspEvaluator, "field_values", nested("field", CuspEvaluator.field_values))
+    if ffts is not None:
+        ifft = np.fft.ifft
+
+        def spied_ifft(*args, **kwargs):
+            ffts.append((depth["field"] > 0, depth["symbol"] > 0))
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spied_ifft)
+        monkeypatch.setattr(cw_cusp, "make_symbol", nested("symbol", cw_cusp.make_symbol))
     return calls
 
 
@@ -957,10 +1049,16 @@ def _walk_contractions(e, samples):
 
 
 @pytest.fixture(scope="module")
-def spied_walk():
+def walk_ffts():
+    """Filled by :func:`spied_walk`: (inside field_values, inside make_symbol) per ifft call."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def spied_walk(walk_ffts):
     params, expected = _walk_contractions(16, 9)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = _counting_contractions(monkeypatch)
+        calls = _counting_contractions(monkeypatch, walk_ffts)
         out = uh_mixed_norms(params, q=6.0, r=6.0, samples_per_sqrt_a=9, region_r=(6.0,))
     return out, calls, expected
 
@@ -979,6 +1077,13 @@ def test_every_walk_contraction_runs_inside_field_values(spied_walk):
     # so the batched contractions must run inside that call
     _, calls, _ = spied_walk
     assert calls and all(inside for _, inside in calls)
+
+
+def test_every_walk_assembly_fft_runs_inside_field_values(spied_walk, walk_ffts):
+    # the benchmark attributes the slice work to CuspEvaluator.field_values, so
+    # every y-assembly FFT runs inside it too; the symbol's own FFTs are the only others
+    assert any(inside for inside, _ in walk_ffts)
+    assert all(inside or symbol for inside, symbol in walk_ffts)
 
 
 @pytest.mark.parametrize("opts", [{"n_x": 48}, {"n_eta_dense": 512}, {"n_fft": 2048}])
