@@ -239,6 +239,8 @@ def cmd_cusp(args) -> int:
         raise _UsageError("--epsilon is required for the cusp experiment")
     with _config_values():
         epsilon = float(cfg["epsilon"])
+        if cfg.get("r_list") is not None and cfg.get("r") is not None:
+            raise ValueError("give r or r_list, not both")
         r_list = [float(x) for x in str(cfg.get("r_list", cfg.get("r", "6"))).split(",")]
         h_list = _h_grid(cfg)
         c0 = float(cfg.get("c0", 0.25))
@@ -263,36 +265,24 @@ def cmd_cusp(args) -> int:
                 residual_rows.append({"n": 0, "lambda": params.lam, "error": str(exc)})
     write_json(outdir / "boundary_residual.json", {"records": residual_rows}, manifest.hash)
 
-    # per h, the region split of u^0 at t = 0 for each r of r_list; the first
-    # verdict's walk computes it, so only an r-list without one builds u^0 here
-    splits = []
-    if not any(r > 4.0 for r in r_list):
-        with manifest.time("region_norms"):
+    judged = any(r > 4.0 for r in r_list)
+    with manifest.time("verdict" if judged else "region_norms"):
+        if judged:  # one walk per h serves every r and gives the t = 0 region split of u^0
+            reports = counterexample_report(r_list, epsilon, h_list, c0=c0, q=q,
+                                            samples_per_sqrt_a=t_resolution, threads=threads)
+            splits = [meas["region_norms"] for meas in reports[0].norms]
+        else:  # no walk to take the split from: build u^0 per h
+            reports, splits = [], []
             for h in h_list:
                 params = make_params(h, epsilon, c0)
                 fld = cusp_field(0, 0.0, params)
                 splits.append([region_norms(fld, REGION_SPEC, r, params) for r in r_list])
                 del fld  # no region field outlives its iteration (it is 20 MiB at h=2^-12)
-
-    exit_code = 0
-    verdicts = []
-    norm_rows = []
-    with manifest.time("verdict"):
-        for r in r_list:
-            if r <= 4.0:
-                verdicts.append({"r": r, "verdict": "NOT-APPLICABLE",
-                                 "reason": "construction yields no contradiction for r <= 4"})
-                continue
-            rep = counterexample_report(r, epsilon, h_list, c0=c0, q=q,
-                                        samples_per_sqrt_a=t_resolution, threads=threads,
-                                        region_r=() if splits else r_list)
-            if not splits:
-                splits = [meas["region_norms"] for meas in rep.norms]
-            verdicts.append(rep.to_dict())
-            for h, qv in rep.samples:
-                norm_rows.append((h, r, rep.q, qv))
-            if rep.verdict == "UNRELIABLE":
-                exit_code = UNRELIABLE_EXIT
+    norm_rows = [(h, rep.r, rep.q, qv) for rep in reports for h, qv in rep.samples]
+    by_r = iter(reports)  # one per r > 4, in the order of r_list
+    verdicts = [next(by_r).to_dict() if r > 4.0 else
+                {"r": r, "verdict": "NOT-APPLICABLE", "reason": "construction yields no contradiction for r <= 4"}
+                for r in r_list]
     region_rows = [(h, 0, 0.0, r, region, value)
                    for h, split in zip(h_list, splits)
                    for r, norms in zip(r_list, split) for region, value in norms.items()]
@@ -301,7 +291,7 @@ def cmd_cusp(args) -> int:
     write_csv(outdir / "cusp_norms.csv", ["h", "r", "q", "Q"], norm_rows, manifest.hash)
     write_json(outdir / "verdict.json", {"verdicts": verdicts}, manifest.hash)
     manifest.write(outdir)
-    return exit_code
+    return UNRELIABLE_EXIT if any(rep.verdict == "UNRELIABLE" for rep in reports) else 0
 
 
 def cmd_billiard(args) -> int:

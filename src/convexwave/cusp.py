@@ -26,7 +26,7 @@ import numpy as np
 
 from .airy import _LEADING, _UK, AiryTable, _branch_series, cubic_coefficients, cubic_interpolate
 from .fields import FrequencyWindow, WaveField
-from .normlab import _BLOCK_SAMPLES, REGION_SPEC, grid_lr_norm, lqlr_norm, region_norms
+from .normlab import _BLOCK_SAMPLES, REGION_SPEC, grid_lr_norm, region_norms
 from .params import SemiclassicalParams, reflection_count
 
 __all__ = [
@@ -771,30 +771,31 @@ def dirichlet_residual(params: SemiclassicalParams) -> dict:
 # mixed-norm assembly for the verdict
 
 
-def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
-                   samples_per_sqrt_a: int = 12, region_r=()) -> dict:
-    """|U_h|_{L^q([0, 1], L^r)} with U_h assembled from its bracketing cusps.
+def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: int = 12) -> dict:
+    """Inner L^r norms of U_h(t) on a uniform time grid of [0, 1] for every r of ``r_list``, from one walk.
 
     The time grid resolves the sqrt(a)-sized essential windows.  On reflection
     window k (the times with clip(floor(t / period), 0, N) = k) the sum U_h(t)
     reduces to the two bracketing cusps u^k and u^{k+1} (the others sit at
-    symbol arguments |z - 2n| >= 2 and are measured negligible; one third-cusp
-    contamination check per run feeds the reliability flag).  Each pair is
-    summed on the shared dense eta grid, so one y-assembly serves both cusps.
-    The windows are walked in order and evaluator k+1 is handed on as the next
-    window's lower cusp, so at most two are alive at once.  Evaluator k+1 gets
-    evaluator k's held Airy factor when their grids match: every n >= 1, and
-    n = 0 too once the reflection cutoff is wider than its spectral cut.  Each
-    evaluator is built with the times of the windows it serves (k - 1 and k
-    for evaluator k), so its slices contract the factor up to 8 times at once
-    and it holds at most one (eta, x, 16) block (see :class:`CuspEvaluator`).
-    At most one (n_x, n_fft) slice is alive: each is dropped after its norms,
-    and the third-cusp check takes its two norms one after the other.
+    symbol arguments |z - 2n| >= 2 and are measured negligible by one
+    third-cusp check per run).  Each pair is summed on the shared dense eta
+    grid, so one y-assembly serves both cusps.  The windows are walked in order
+    and evaluator k+1 is handed on as the next window's lower cusp, so at most
+    two are alive at once.  Evaluator k+1 gets evaluator k's held Airy factor
+    when their grids match: every n >= 1, and n = 0 too once the reflection
+    cutoff is wider than its spectral cut; the last factor is released on
+    return.  Each evaluator is built with the times of the windows it serves
+    (k - 1 and k for evaluator k), so its slices contract the factor up to 8
+    times at once and it holds at most one (eta, x, 16) block (see
+    :class:`CuspEvaluator`).  Each slice is formed once and dropped after its
+    norm for every r, so at most one (n_x, n_fft) slice is alive.
 
-    ``region_norms`` lists, for each r in ``region_r``, the x-region split
-    (:data:`~convexwave.normlab.REGION_SPEC`) of the t = 0 slice of u^0 alone,
-    taken from evaluator 0 before evaluator 1 is built; its contraction is the
-    first batch of the walk, so the walk's first pair slice reuses it.
+    Returns ``times``; ``inner``, whose row j holds the L^{r_j} norm at each
+    time; ``l2_initial``, the L^2 norm of U_h(0); ``third_cusp_fraction``, per
+    r the norm of the cusp below a window pair over that of the pair's upper
+    cusp at its apex (None when N < 2); and ``region_norms``, per r the
+    x-region split (:data:`~convexwave.normlab.REGION_SPEC`) of the t = 0 slice
+    of u^0 alone, whose contraction the walk's first pair slice reuses.
     """
     a, c0 = params.a, params.c0
     root = math.sqrt((1.0 + a) * a)
@@ -805,38 +806,41 @@ def uh_mixed_norms(params: SemiclassicalParams, q: float, r: float, *,
     windows = np.clip(np.floor(times / period), 0, big_n).astype(int)
 
     symbol = make_symbol((-c0, c0), params)
-    checks = {}
     k_chk = big_n // 2 if big_n >= 2 else None  # the check needs cusps k_chk - 1 >= 0 and k_chk
-    inner = np.empty(n_t)
+    third = None
+    inner = np.empty((len(r_list), n_t))
     hi = CuspEvaluator(params, 0, symbol=symbol, times=times[windows == 0])
-    regions = []
-    if region_r:
-        initial = hi.field(0.0)
-        regions = [region_norms(initial, REGION_SPEC, r_region, params) for r_region in region_r]
-        del initial
+    x = hi.x  # every evaluator of the walk samples the same x-grid
+
+    def norms(vals, y):
+        return [grid_lr_norm(vals, x, y, r) for r in r_list]
+
+    initial = hi.field(0.0)
+    regions = [region_norms(initial, REGION_SPEC, r, params) for r in r_list]
+    del initial
     for k in range(windows[-1] + 1):
         lo = hi  # frees evaluator k - 1 before k + 1 is built
         hi = (CuspEvaluator(params, k + 1, symbol=symbol, times=times[(windows == k) | (windows == k + 1)])
               if k < big_n else None)
         for i in np.flatnonzero(windows == k):
             vals, offsets, center = lo.field_values(times[i], partner=hi)
-            inner[i] = grid_lr_norm(vals, lo.x, center + offsets, r)
+            y = center + offsets
+            inner[:, i] = norms(vals, y)
             if i == 0:
-                l2_initial = grid_lr_norm(vals, lo.x, center + offsets, 2)
+                l2_initial = grid_lr_norm(vals, x, y, 2)
             del vals  # one slice alive at a time
         if k + 1 == k_chk:  # both cusps of the check are alive: k_chk - 1 (lo) and k_chk (hi)
             t_chk = (4.0 * k_chk + 2.0) * root  # gap apex between k_chk and k_chk + 1
             vals, offsets, center = hi.field_values(t_chk)
             y = center + offsets
-            own = max(grid_lr_norm(vals, hi.x, y, r), 1e-300)
+            own = norms(vals, y)
             del vals
-            checks["third_cusp_fraction"] = grid_lr_norm(lo.field_values(t_chk, center)[0], lo.x, y, r) / own
-    lqlr = lqlr_norm(inner, times, float(q))
+            third = [f / max(o, 1e-300) for f, o in zip(norms(lo.field_values(t_chk, center)[0], y), own)]
+    _HELD.entry = None  # no caller reuses the walk's last factor (77 MiB at 2^-10)
     return {
-        "lqlr": lqlr,
+        "times": times,
+        "inner": inner,
         "l2_initial": l2_initial,
-        "n_time_samples": n_t,
-        "checks": checks,
-        "reliable": checks.get("third_cusp_fraction", 0.0) < 1e-3,
+        "third_cusp_fraction": third,
         "region_norms": regions,
     }

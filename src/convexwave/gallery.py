@@ -281,10 +281,8 @@ def norm_equivalence(k: int, h: float, envelope: np.ndarray, grid: TransverseGri
     wy = trapezoid_weights(grid.y)
 
     def filtered_norm(win):
-        filt = grid.ifft(spectrum * win(grid.eta))
-        if r == math.inf:
-            return float(np.abs(filt).max())
-        return float((np.abs(filt) ** r @ wy) ** (1.0 / r))
+        power = lr_power(grid.ifft(spectrum * win(grid.eta))[None, :], np.ones(1), wy, r)
+        return power if r == math.inf else power ** (1.0 / r)
 
     left = filtered_norm(psi1)
     right = filtered_norm(psi2)

@@ -292,62 +292,69 @@ class CounterexampleVerdict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "norms"}
 
 
-def counterexample_report(r, epsilon, h_list, *, q=None, c0=0.25,
-                          samples_per_sqrt_a: int = 12, threads: int = 1,
-                          region_r=()) -> CounterexampleVerdict:
-    """Assemble U_h over N reflections per h and test h^beta growth of the quotient.
+def counterexample_report(r_list, epsilon, h_list, *, q=None, c0=0.25,
+                          samples_per_sqrt_a: int = 12, threads: int = 1) -> list[CounterexampleVerdict]:
+    """One verdict per r > 4 of ``r_list``, in order, from one walk per h for every r.
 
-    beta = beta(r) - epsilon.  PASS requires Q increasing along decreasing h
-    with fitted exponent <= -epsilon/2 (half the theoretical -7 eps/8, which
-    absorbs the marginal lambda of desk scale).  The control run re-weights the
-    same measurements with beta(r) + 0.1 and must come out non-increasing.
-    Each per-h entry of ``norms`` carries the t = 0 region split of u^0 for
-    every r in ``region_r`` (see :func:`convexwave.cusp.uh_mixed_norms`).
+    Each h runs one :func:`convexwave.cusp.uh_mixed_norms` walk over N
+    reflections.  The verdict of each r > 4 takes the L^q time norm of its
+    inner norms (q the sharp wave q of r unless given) and tests h^beta growth
+    of Q(h) = h^beta |U_h|_{L^q L^r} / |U_h(0)|_{L^2}, beta = beta(r) - epsilon.
+    PASS requires Q increasing along decreasing h with fitted exponent
+    <= -epsilon/2 (half the theoretical -7 eps/8, which absorbs the marginal
+    lambda of desk scale).  The control run re-weights the same measurements
+    with beta(r) + 0.1 and must come out non-increasing.  A verdict is
+    UNRELIABLE when its r's third-cusp fraction reaches 1e-3 at some h.  An
+    r <= 4 is measured, not judged: each per-h entry of ``norms`` is that h's
+    walk (with the t = 0 region split of u^0 for every r of ``r_list``) plus
+    h, N and the verdict's own ``lqlr``.
     """
     from . import cusp  # deferred: normlab is importable without the cusp machinery
 
-    r = float(r)
-    if r <= 4.0:
-        raise NormError(f"r must be > 4 for the counterexample (got r={r})")
-    beta = float(loss_exponent(r).beta_loss) - float(epsilon)
-    control_beta = float(loss_exponent(r).beta_loss) + 0.1
-    if q is None:
-        q = float(sharp_wave_q(r, d=2))
+    r_list = tuple(float(r) for r in r_list)
+    if not any(r > 4.0 for r in r_list):
+        raise NormError(f"r must be > 4 for the counterexample (got r={', '.join(map(str, r_list))})")
     params_per_h = [make_params(h, epsilon, c0) for h in h_list]
 
     def measure(params):
-        return cusp.uh_mixed_norms(params, q=q, r=r, samples_per_sqrt_a=samples_per_sqrt_a,
-                                   region_r=region_r)
+        return cusp.uh_mixed_norms(params, r_list, samples_per_sqrt_a=samples_per_sqrt_a)
 
     per_h = parallel_map(measure, params_per_h, threads)
-    reliable = all(m["reliable"] for m in per_h)
 
-    samples, control_samples, norms = [], [], []
-    for params, meas in zip(params_per_h, per_h):
-        quotient = meas["lqlr"] / meas["l2_initial"]
-        samples.append((params.h, params.h**beta * quotient))
-        control_samples.append((params.h, params.h**control_beta * quotient))
-        norms.append({"h": params.h, "n_reflections": params.n_reflections, **meas})
+    def verdict_of(j, r):
+        beta = float(loss_exponent(r).beta_loss) - float(epsilon)
+        control_beta = float(loss_exponent(r).beta_loss) + 0.1
+        q_r = float(sharp_wave_q(r, d=2) if q is None else q)
+        samples, control_samples, norms = [], [], []
+        for params, meas in zip(params_per_h, per_h):
+            lqlr = lqlr_norm(meas["inner"][j], meas["times"], q_r)
+            quotient = lqlr / meas["l2_initial"]
+            samples.append((params.h, params.h**beta * quotient))
+            control_samples.append((params.h, params.h**control_beta * quotient))
+            norms.append({"h": params.h, "n_reflections": params.n_reflections, "lqlr": lqlr, **meas})
+        reliable = all(m["third_cusp_fraction"] is None or m["third_cusp_fraction"][j] < 1e-3 for m in per_h)
 
-    fitted, stderr = _fit_if_spanning(samples)
-    verdict = None
-    control_ok = None
-    if len(samples) >= 2:
-        ordered = sorted(samples, key=lambda s: -s[0])  # decreasing h
-        increasing = all(b[1] > a[1] for a, b in zip(ordered, ordered[1:]))
-        ctrl = sorted(control_samples, key=lambda s: -s[0])
-        control_ok = all(b[1] <= a[1] * (1 + 1e-9) for a, b in zip(ctrl, ctrl[1:]))
-        if not reliable:
-            verdict = "UNRELIABLE"
-        elif fitted is not None:
-            verdict = "PASS" if (increasing and fitted <= -epsilon / 2.0) else "FAIL"
-        else:
-            verdict = "PASS" if increasing else "FAIL"
+        fitted, stderr = _fit_if_spanning(samples)
+        verdict = None
+        control_ok = None
+        if len(samples) >= 2:
+            ordered = sorted(samples, key=lambda s: -s[0])  # decreasing h
+            increasing = all(b[1] > a[1] for a, b in zip(ordered, ordered[1:]))
+            ctrl = sorted(control_samples, key=lambda s: -s[0])
+            control_ok = all(b[1] <= a[1] * (1 + 1e-9) for a, b in zip(ctrl, ctrl[1:]))
+            if not reliable:
+                verdict = "UNRELIABLE"
+            elif fitted is not None:
+                verdict = "PASS" if (increasing and fitted <= -epsilon / 2.0) else "FAIL"
+            else:
+                verdict = "PASS" if increasing else "FAIL"
 
-    return CounterexampleVerdict(
-        r=r, q=float(q), epsilon=float(epsilon), beta=beta,
-        samples=samples, fitted_exponent=fitted, stderr=stderr, verdict=verdict,
-        control_beta=control_beta, control_samples=control_samples,
-        control_monotone_ok=control_ok, norms=norms,
-        meta={"c0": c0, "samples_per_sqrt_a": samples_per_sqrt_a},
-    )
+        return CounterexampleVerdict(
+            r=r, q=q_r, epsilon=float(epsilon), beta=beta,
+            samples=samples, fitted_exponent=fitted, stderr=stderr, verdict=verdict,
+            control_beta=control_beta, control_samples=control_samples,
+            control_monotone_ok=control_ok, norms=norms,
+            meta={"c0": c0, "samples_per_sqrt_a": samples_per_sqrt_a},
+        )
+
+    return [verdict_of(j, r) for j, r in enumerate(r_list) if r > 4.0]

@@ -227,7 +227,7 @@ def test_criterion6_wave_residual_exponent():
 def test_criterion7_counterexample_verdict():
     t0 = time.time()
     h_list = [2.0**-10, 2.0**-14, 2.0**-18, 2.0**-22]
-    rep = counterexample_report(6, 0.1, h_list, c0=0.25)
+    [rep] = counterexample_report((6,), 0.1, h_list, c0=0.25)
     elapsed = time.time() - t0
     qs = [qv for _, qv in sorted(rep.samples, key=lambda s: -s[0])]
     increasing = all(b > a for a, b in zip(qs, qs[1:]))

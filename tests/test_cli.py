@@ -213,6 +213,8 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
     (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--r-list", 0], None),
     (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--r-list", -2], None),
     (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--r-list", "2,0.5"], None),
+    (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--r", 6, "--r-list", "5,6"], None),
+    (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--r", 8], {"cusp": {"r_list": "5,6"}}),
     (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--q", 0], None),
     (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--q", "nan"], None),
     (["gallery", "--q", 0], None),
@@ -221,7 +223,8 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
         "gallery_r_not_a_number", "gallery_unknown_data", "gallery_unknown_flow",
         "cusp_h_list_zero", "cusp_h_max_above_1",
         "cusp_t_resolution_zero", "cusp_t_resolution_negative", "cusp_r_nan", "cusp_r_zero",
-        "cusp_r_negative", "cusp_r_below_1", "cusp_q_zero", "cusp_q_nan", "gallery_q_zero",
+        "cusp_r_negative", "cusp_r_below_1", "cusp_r_and_r_list_flags", "cusp_r_flag_and_r_list_config",
+        "cusp_q_zero", "cusp_q_nan", "gallery_q_zero",
         "gallery_derived_q_negative"])
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, argv, config):
     out = tmp_path / "bad"
@@ -273,9 +276,11 @@ def test_cusp_region_csv_columns(tmp_path):
     assert len(lines) == 5  # three regions + header + manifest line
 
 
-def test_cusp_region_split_comes_from_the_verdict_walk(tmp_path, monkeypatch):
+@pytest.mark.parametrize("r_list", ["4,6", "4,5,6"])
+def test_cusp_region_split_comes_from_the_verdict_walk(tmp_path, monkeypatch, r_list):
     # the walk's evaluator 0 gives the t = 0 region split for every r asked,
-    # so two h values build N + 1 = 2 and 3 evaluators and no separate u^0
+    # and one walk per h serves every r > 4: two h values build N + 1 = 2 and
+    # 3 evaluators, whatever the number of verdicts, and no separate u^0
     built = []
     init = CuspEvaluator.__init__
 
@@ -287,7 +292,7 @@ def test_cusp_region_split_comes_from_the_verdict_walk(tmp_path, monkeypatch):
     out = tmp_path / "csplit"
     h_list = [2.0**-10, 2.0**-12]
     code = run(["cusp", "--h-list", ",".join(repr(h) for h in h_list), "--epsilon", 0.1,
-                "--r-list", "4,6", "--t-resolution", "1", "--out", out])
+                "--r-list", r_list, "--t-resolution", "1", "--out", out])
     assert code == 0
     assert sorted(built) == [(2.0**-12, 0), (2.0**-12, 1), (2.0**-12, 2), (2.0**-10, 0), (2.0**-10, 1)]
     monkeypatch.undo()
@@ -297,7 +302,7 @@ def test_cusp_region_split_comes_from_the_verdict_walk(tmp_path, monkeypatch):
     for h in h_list:
         params = make_params(h, 0.1, 0.25)
         fld = cusp_field(0, 0.0, params)
-        for r in (4.0, 6.0):
+        for r in (float(x) for x in r_list.split(",")):
             for region, value in region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), r, params).items():
                 expected.append(",".join(cli._fmt(v) for v in (h, 0, 0.0, r, region, value)))
     assert lines == expected

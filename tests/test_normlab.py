@@ -241,11 +241,13 @@ def test_block_reduction_of_a_product(rng, monkeypatch, r):
 
 def test_counterexample_rejects_small_r():
     with pytest.raises(NormError, match="r must be > 4"):
-        counterexample_report(3, 0.1, [2.0**-10, 2.0**-12])
+        counterexample_report((3,), 0.1, [2.0**-10, 2.0**-12])
+    with pytest.raises(NormError, match="r must be > 4"):
+        counterexample_report((2, 4), 0.1, [2.0**-10, 2.0**-12])
 
 
 def test_counterexample_single_h_gives_null_verdict():
-    rep = counterexample_report(6, 0.1, [2.0**-12], samples_per_sqrt_a=9)
+    [rep] = counterexample_report((6,), 0.1, [2.0**-12], samples_per_sqrt_a=9)
     assert rep.verdict is None
     assert rep.fitted_exponent is None
     assert len(rep.samples) == 1
@@ -253,7 +255,7 @@ def test_counterexample_single_h_gives_null_verdict():
 
 
 def test_counterexample_two_point_trend():
-    rep = counterexample_report(6, 0.1, [2.0**-11, 2.0**-15], samples_per_sqrt_a=9)
+    [rep] = counterexample_report((6,), 0.1, [2.0**-11, 2.0**-15], samples_per_sqrt_a=9)
     assert rep.verdict == "PASS"  # increasing Q along decreasing h
     assert rep.control_monotone_ok
     d = rep.to_dict()
@@ -262,9 +264,23 @@ def test_counterexample_two_point_trend():
 
 def test_counterexample_threads_deterministic():
     h_list = [2.0**-11, 2.0**-13]
-    rep1 = counterexample_report(6, 0.1, h_list, samples_per_sqrt_a=9, threads=1)
-    rep2 = counterexample_report(6, 0.1, h_list, samples_per_sqrt_a=9, threads=2)
+    [rep1] = counterexample_report((6,), 0.1, h_list, samples_per_sqrt_a=9, threads=1)
+    [rep2] = counterexample_report((6,), 0.1, h_list, samples_per_sqrt_a=9, threads=2)
     assert rep1.samples == rep2.samples
+
+
+def test_one_walk_serves_every_r():
+    # one walk per h gives every r the verdict of its own single-r walk, bit for
+    # bit; an r <= 4 in the list is measured (its region split) and not judged
+    h_list = [2.0**-10, 2.0**-12]
+    reports = counterexample_report((4, 5, 6, 8), 0.1, h_list, samples_per_sqrt_a=3)
+    assert [rep.r for rep in reports] == [5.0, 6.0, 8.0]
+    for j, rep in enumerate(reports, start=1):
+        [single] = counterexample_report((rep.r,), 0.1, h_list, samples_per_sqrt_a=3)
+        for key in ("samples", "fitted_exponent", "verdict", "control_samples"):
+            assert getattr(rep, key) == getattr(single, key)
+        assert [m["lqlr"] for m in rep.norms] == [m["lqlr"] for m in single.norms]
+        assert [m["region_norms"][j] for m in rep.norms] == [m["region_norms"][0] for m in single.norms]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 6, 8])

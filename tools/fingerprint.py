@@ -1,0 +1,167 @@
+"""Physics fingerprint: the outputs that a refactor must not move, and how far two trees differ.
+
+    python3 tools/fingerprint.py [--out fingerprint.json] [--compare parent.json]
+
+The script fingerprints the tree it sits in (it imports ``convexwave`` from the
+``src/`` beside it) and writes one entry per output to ``--out``: the SHA-256 of
+the output's bytes (a file's, or its float64 values') and, for numbers, the
+values.  With ``--compare`` it prints, per output, "bit-identical" or the largest
+relative change against the other fingerprint.  To compare with a parent commit,
+export it (``git archive``), run the same script in that copy, and compare.
+
+The outputs are:
+
+* the four artifacts of the README run ``convexwave cusp --epsilon 0.1 --r 6``
+  over h = 2^-10, 2^-14, 2^-18, 2^-22 at the default t-resolution;
+* criteria 4-6 at the same h: the L^r norms (r = 2, 3, 5, 6, 8) of u^0 at
+  t = 0, the L^2 norm of its wave residual, and the boundary-residual ratios
+  at the two h of the benchmark's criterion 5 leg;
+* the verdict walk (``cusp.uh_mixed_norms``) at 2^-12 and 2^-16, t-resolution
+  3: the inner norms for r = 4, 5, 6, 8, inf, ``l2_initial``, the third-cusp
+  fractions and the t = 0 region split;
+* ``gallery.norm_equivalence`` (r = 2, 6, inf) at h = 2^-8 ... 2^-14.
+
+BLAS runs single-threaded unless the environment says otherwise, so that the
+bits do not depend on the thread count.  The whole run takes about 40 s on a
+2-CPU Xeon.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from convexwave import cli, cusp, gallery, normlab  # noqa: E402
+from convexwave.fields import make_transverse_grid  # noqa: E402
+from convexwave.params import make_params  # noqa: E402
+
+README_H = [2.0**-10, 2.0**-14, 2.0**-18, 2.0**-22]
+CRITERION_R = (2, 3, 5, 6, 8)
+BOUNDARY_H = [2.7702767488752873e-06, 3.283046367631605e-07]
+WALK_E = (12, 16)
+WALK_R = (4.0, 5.0, 6.0, 8.0, math.inf)
+EQUIVALENCE_E = (8, 10, 12, 14)
+
+
+def _numbers(values) -> dict:
+    values = np.asarray(values, dtype=np.float64).ravel()
+    return {"sha256": hashlib.sha256(values.tobytes()).hexdigest(), "values": values.tolist()}
+
+
+def _file(path: Path) -> dict:
+    return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def readme_run(out: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "cusp"
+        code = cli.main(["cusp", "--epsilon", "0.1", "--r", "6",
+                         "--h-list", ",".join(repr(h) for h in README_H), "--out", str(run)])
+        out["cusp run exit code"] = _numbers([code])
+        for name in ("verdict.json", "cusp_norms.csv", "region_norms.csv", "boundary_residual.json"):
+            out[f"cusp run {name}"] = _file(run / name)
+
+
+def criteria(out: dict) -> None:
+    norms = {r: [] for r in CRITERION_R}
+    residuals = []
+    for h in README_H:
+        params = make_params(h, 0.1, 0.25)
+        fld = cusp.cusp_field(0, 0.0, params)
+        for r in CRITERION_R:
+            norms[r].append(normlab.lr_norm(fld, r))
+        del fld
+        residuals.append(normlab.lr_norm(cusp.wave_residual(0, 0.0, params), 2))
+    for r in CRITERION_R:
+        out[f"criterion 4 L^{r} of u^0"] = _numbers(norms[r])
+    out["criterion 6 L^2 of the wave residual"] = _numbers(residuals)
+    out["criterion 5 boundary residual ratio"] = _numbers(
+        [cusp.boundary_residual(0, make_params(h, 0.1, 0.25)) for h in BOUNDARY_H])
+
+
+def walks(out: dict) -> None:
+    for e in WALK_E:
+        walk = cusp.uh_mixed_norms(make_params(2.0**-e, 0.1, 0.25), WALK_R, samples_per_sqrt_a=3)
+        name = f"walk 2^-{e}"
+        out[f"{name} times"] = _numbers(walk["times"])
+        for r, inner in zip(WALK_R, walk["inner"]):
+            out[f"{name} inner L^{r:g}"] = _numbers(inner)
+        out[f"{name} l2_initial"] = _numbers([walk["l2_initial"]])
+        out[f"{name} third_cusp_fraction"] = _numbers(walk["third_cusp_fraction"] or [])
+        out[f"{name} region_norms"] = _numbers([v for split in walk["region_norms"] for v in split.values()])
+
+
+def norm_equivalence(out: dict) -> None:
+    for r in (2.0, 6.0, math.inf):
+        values = []
+        for e in EQUIVALENCE_E:
+            h = 2.0**-e
+            grid = make_transverse_grid(h, -1.0, 1.0)
+            ratios = gallery.norm_equivalence(0, h, gallery.coherent_state(1.0, h, grid), grid, r)
+            values += [ratios[key] for key in ("lower_ratio", "upper_ratio", "middle", "left", "right")]
+        out[f"norm_equivalence r={r:g}"] = _numbers(values)
+
+
+def fingerprint() -> dict:
+    outputs = {}
+    for part in (readme_run, criteria, walks, norm_equivalence):
+        part(outputs)
+    return outputs
+
+
+def _change(new: dict, old: dict) -> str:
+    if new["sha256"] == old["sha256"]:
+        return "bit-identical"
+    if "values" not in new or "values" not in old:
+        return "bytes differ"
+    a, b = np.array(new["values"]), np.array(old["values"])
+    if a.shape != b.shape:
+        return f"{a.size} values against {b.size}"
+    rel = np.abs(a - b) / np.maximum(np.abs(b), np.finfo(float).tiny)
+    return f"max relative change {rel.max():.2e}"
+
+
+def compare(new: dict, old: dict) -> list[tuple[str, str]]:
+    """(output, "bit-identical" or its largest relative change) for every output of either."""
+    return [(name, "only in this tree" if name not in old else
+             "only in the other tree" if name not in new else _change(new[name], old[name]))
+            for name in sorted(new.keys() | old.keys())]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", default="fingerprint.json", help="where to write this tree's fingerprint")
+    parser.add_argument("--compare", help="a fingerprint.json to compare this tree's against")
+    args = parser.parse_args(argv)
+    t0 = time.perf_counter()
+    outputs = fingerprint()
+    seconds = time.perf_counter() - t0
+    payload = {"seconds": round(seconds, 1), "numpy": np.__version__,
+               "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "outputs": outputs}
+    Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(outputs)} outputs in {seconds:.1f} s -> {args.out}")
+    if args.compare:
+        old = json.loads(Path(args.compare).read_text(encoding="utf-8"))["outputs"]
+        rows = compare(outputs, old)
+        width = max(len(name) for name, _ in rows)
+        for name, change in rows:
+            print(f"{name:<{width}}  {change}")
+        return 0 if all(change == "bit-identical" for _, change in rows) else 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
