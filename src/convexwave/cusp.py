@@ -25,8 +25,8 @@ from typing import ClassVar
 import numpy as np
 
 from .airy import _LEADING, _UK, AiryTable, _branch_series, cubic_coefficients, cubic_interpolate
-from .fields import FrequencyWindow, WaveField
-from .normlab import _BLOCK_SAMPLES, REGION_SPEC, grid_lr_norm, region_norms
+from .fields import FrequencyWindow, WaveField, trapezoid_weights
+from .normlab import _BLOCK_SAMPLES, REGION_SPEC, block_powers, check_exponent, region_split, rows_norm
 from .params import SemiclassicalParams, reflection_count
 
 __all__ = [
@@ -363,8 +363,9 @@ class _YAssembly:
     by the precomputed carrier e^{i eta_0 y / h}.  The fftshift to that order
     is folded into the input as the signs (-1)^e (``signs``), which callers
     multiply into their eta samples beforehand with any centre shift
-    (``move``); the identity needs an even n_fft.  The quadrature step
-    ``deta`` is left to the caller.
+    (``phase``); the identity needs an even n_fft.  The quadrature step
+    ``deta`` is left to the caller.  A norm-only caller skips the carrier
+    (:meth:`blocks`).
     """
 
     def __init__(self, eta: np.ndarray, h: float, n_fft: int):
@@ -377,30 +378,41 @@ class _YAssembly:
         self.offsets.flags.writeable = False
         self.deta = deta
         self.carrier = np.exp(1j * (eta[0] / h) * self.offsets)
+        self.step = max(1, _BLOCK_SAMPLES // n_fft)  # rows per block
 
-    def move(self, samples: np.ndarray, shift: float) -> np.ndarray:
-        """``samples`` with their y-centre moved by ``shift``: multiplied in place by e^{i eta shift / h}."""
-        if shift != 0.0:
-            samples *= np.exp(1j * (self.eta / self.h) * shift)
-        return samples
+    def phase(self, shift: float) -> np.ndarray | None:
+        """e^{i eta shift / h}, which moves the y-centre of eta samples by ``shift``; None for no shift."""
+        return np.exp(1j * (self.eta / self.h) * shift) if shift != 0.0 else None
 
     def assemble(self, samples: np.ndarray) -> np.ndarray:
-        """The y-samples of the signed eta samples ``samples`` (rows of eta.size), in a fresh array.
-
-        Each block of about ``_BLOCK_SAMPLES`` output samples gets its rows'
-        samples and a zero tail, then its FFT and carrier, in cache; no
-        zero-padded copy of all rows is made.
-        """
+        """The y-samples of the signed eta samples ``samples`` (rows of eta.size), in a fresh array."""
         rows = samples.reshape(-1, self.eta.size)
-        out = np.empty((rows.shape[0], self.n_fft), dtype=complex)
-        step = max(1, _BLOCK_SAMPLES // self.n_fft)
-        for i in range(0, rows.shape[0], step):
-            block = out[i : i + step]
-            block[:, : self.eta.size] = rows[i : i + step]
+        out = self.blocks(rows.shape[0], lambda head, i: np.copyto(head, rows[i : i + head.shape[0]]))
+        return out.reshape(samples.shape[:-1] + (self.n_fft,))
+
+    def blocks(self, n_rows: int, fill, reduce=None) -> np.ndarray | None:
+        """The y-samples of n_rows rows of signed eta samples, ``step`` rows at a time.
+
+        ``fill(head, i)`` writes the eta samples of rows i .. i + len(head) into
+        ``head``, the block's first eta.size columns; the block's tail is zeroed
+        and the block inverse-transformed in place, in cache.  Without ``reduce``
+        each block is a row block of the fresh (n_rows, n_fft) array returned,
+        multiplied by the carrier.  With it, ``reduce(block, i)`` gets each
+        block in one reused buffer, without the carrier (a norm cannot see a
+        unimodular factor), and nothing is returned.
+        """
+        step = self.step
+        out = np.empty((n_rows if reduce is None else min(step, n_rows), self.n_fft), dtype=complex)
+        for i in range(0, n_rows, step):
+            block = out[i : i + step] if reduce is None else out[: min(step, n_rows - i)]
+            fill(block[:, : self.eta.size], i)
             block[:, self.eta.size :] = 0.0
             np.fft.ifft(block, axis=-1, norm="forward", out=block)
-            block *= self.carrier
-        return out.reshape(samples.shape[:-1] + (self.n_fft,))
+            if reduce is None:
+                block *= self.carrier
+            else:
+                reduce(block, i)
+        return out if reduce is None else None
 
 
 # The xi cuts of the field and the trace (share of the spectrum's peak); they differ on
@@ -487,9 +499,14 @@ class CuspEvaluator:
     ``_BATCH`` at once, as 2 ``_BATCH`` columns of one matmul, and the
     (eta, x, 2m) block (6.25 MiB at 160 x 320 and m = 8) is held until its last
     time is sliced; any other time is contracted alone and nothing is held.
-    The slice is then interpolated to complex (n_x, n_eta_dense) samples, to
-    which a partner adds its own, and assembled on y-offsets 16 rows at a time
-    (:meth:`_YAssembly.assemble`).  The interpolation is the four-point cubic
+    The slice is then assembled on y-offsets 16 x-rows at a time
+    (:meth:`_YAssembly.blocks`): each block's coarse rows are interpolated to
+    complex eta_dense samples straight into the block, a partner adds its own
+    rows moved by the shift phase, and the block is transformed in cache; no
+    (n_x, n_eta_dense) samples exist.  The full-field form writes each block,
+    times the carrier, into the fresh (n_x, n_fft) slice; the norm-only form
+    (``r_list``) reduces each block to its row powers in one reused buffer, so
+    it forms no (n_x, n_fft) array.  The interpolation is the four-point cubic
     as a real (n_eta, n_eta_dense) matrix, applied to the real and imaginary
     parts stacked as rows, one GEMM per block of ``_BAND_COLUMNS`` dense
     columns over the band of coarse rows that it reads (the rest is zero); its
@@ -559,40 +576,78 @@ class CuspEvaluator:
             self._held = None
         return block[..., 2 * j : 2 * j + 2]
 
-    def _samples(self, t: float, center: float | None = None) -> tuple[np.ndarray, float]:
-        """(samples, center): the signed, deta-weighted complex samples [x, eta_dense] at time t,
-        moved from the cusp's own y-centre to ``center`` (by default that own centre)."""
+    def _rows(self, t: float, center: float | None = None):
+        """(fill, center): ``fill(head, i)`` writes the signed, deta-weighted complex samples
+        [x_i .. x_{i + len(head)}, eta_dense] of the cusp at time t into ``head``, moved from
+        the cusp's own y-centre to ``center`` (by default that own centre)."""
         a = self.params.a
         natural = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * self.n * a**1.5
         center = natural if center is None else float(center)
-        dense = self._interpolate(self._coarse(t).transpose(2, 1, 0).reshape(-1, self.eta.size))
-        samples = dense[: self.x.size].astype(complex)
-        samples.imag = dense[self.x.size :]
-        return self._y.move(samples, center - natural), center
+        coarse = self._coarse(t)  # [eta, x, (re, im)]
+        phase = self._y.phase(center - natural)
+        rows = np.empty(2 * self._y.step * self.eta.size)  # one block's coarse rows
+        dense = np.empty((2 * self._y.step, self.eta_dense.size))
 
-    def _interpolate(self, coarse: np.ndarray) -> np.ndarray:
+        def fill(head, i):
+            m = head.shape[0]
+            block = rows[: 2 * m * self.eta.size].reshape(2, m, self.eta.size)
+            np.copyto(block, coarse[:, i : i + m].transpose(2, 1, 0))
+            part = self._interpolate(block.reshape(2 * m, self.eta.size), dense[: 2 * m])
+            head.real = part[:m]
+            head.imag = part[m:]
+            if phase is not None:
+                head *= phase
+
+        return fill, center
+
+    def _interpolate(self, coarse: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """coarse @ _interp, one GEMM per block of dense columns over its band of coarse rows."""
-        dense = np.empty((coarse.shape[0], self.eta_dense.size))
+        dense = np.empty((coarse.shape[0], self.eta_dense.size)) if out is None else out
         for rows, cols, band in self._bands:
             np.matmul(coarse[:, rows], band, out=dense[:, cols])
         return dense
 
     def field_values(self, t: float, y_center: float | None = None,
-                     partner: CuspEvaluator | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+                     partner: CuspEvaluator | None = None, *, r_list=None) -> tuple[np.ndarray, np.ndarray, float]:
         """(values, y_offsets, y_center) of the cusp at time t, in a fresh array.
 
         With a ``partner`` evaluator on the same grids the values are those of
         u^self + u^partner on self's y-centre: the partner's eta samples, moved
         to that centre, are added before the one y-assembly.
+
+        With ``r_list`` the slice is reduced as it is assembled, and ``values``
+        is replaced by ``powers[j, i] = sum_y w_y |u(x_i, y)|^{r_j}`` (the row
+        max for r_j = inf), w_y the trapezoid weights of the slice's y-grid:
+        each block of rows is reduced in cache, so no (n_x, n_fft) array is
+        formed, and the unimodular carrier is left out.
         """
         if partner is not None and not (
                 partner.n_fft == self.n_fft and partner.params == self.params
                 and np.array_equal(partner.x, self.x) and np.array_equal(partner.eta_dense, self.eta_dense)):
             raise CuspError("a partner cusp must share params, x, eta_dense and n_fft")
-        samples, center = self._samples(t, y_center)
+        for r in r_list or ():
+            check_exponent(r)
+        fill, center = self._rows(t, y_center)
         if partner is not None:
-            samples += partner._samples(t, center)[0]
-        return self._y.assemble(samples), self._y.offsets, center
+            own, other = fill, partner._rows(t, center)[0]
+            added = np.empty((self._y.step, self.eta_dense.size), dtype=complex)
+
+            def fill(head, i):
+                own(head, i)
+                other(added[: head.shape[0]], i)
+                head += added[: head.shape[0]]
+
+        if r_list is None:
+            return self._y.blocks(self.x.size, fill), self._y.offsets, center
+        wy = trapezoid_weights(center + self._y.offsets)
+        powers = np.empty((len(r_list), self.x.size))
+
+        def reduce(block, i):
+            for j, r in enumerate(r_list):
+                powers[j, i : i + block.shape[0]] = block_powers(block, wy, r)
+
+        self._y.blocks(self.x.size, fill, reduce)
+        return powers, self._y.offsets, center
 
     def field(self, t: float, y_center: float | None = None) -> WaveField:
         vals, offsets, center = self.field_values(t, y_center)
@@ -674,7 +729,10 @@ class TraceEvaluator:
             raise CuspError(f"trace argument z - 2n = {w:.2f} outside [-3, 3]")
         natural = self.y_center(t)
         center = natural if y_center is None else float(y_center)
-        samples = self._y.move(self._weights @ np.exp(1j * self.xi * w), center - natural)
+        samples = self._weights @ np.exp(1j * self.xi * w)
+        phase = self._y.phase(center - natural)
+        if phase is not None:
+            samples *= phase
         vals = self._y.assemble(samples) * self._y.deta
         return TraceSignal(values=vals, y=center + self._y.offsets, y_center=center, t=t,
                            n=self.n, sign=self.sign)
@@ -787,15 +845,18 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
     return.  Each evaluator is built with the times of the windows it serves
     (k - 1 and k for evaluator k), so its slices contract the factor up to 8
     times at once and it holds at most one (eta, x, 16) block (see
-    :class:`CuspEvaluator`).  Each slice is formed once and dropped after its
-    norm for every r, so at most one (n_x, n_fft) slice is alive.
+    :class:`CuspEvaluator`).  Every slice is norm-only: its row powers for
+    every r are summed 16 x-rows at a time as it is assembled, so the walk
+    forms no (n_x, n_fft) slice, and every output below is taken from them.
 
     Returns ``times``; ``inner``, whose row j holds the L^{r_j} norm at each
-    time; ``l2_initial``, the L^2 norm of U_h(0); ``third_cusp_fraction``, per
-    r the norm of the cusp below a window pair over that of the pair's upper
-    cusp at its apex (None when N < 2); and ``region_norms``, per r the
-    x-region split (:data:`~convexwave.normlab.REGION_SPEC`) of the t = 0 slice
-    of u^0 alone, whose contraction the walk's first pair slice reuses.
+    time; ``l2_initial``, the L^2 norm of U_h(0), from the same slice with
+    r = 2 added; ``third_cusp_fraction``, per r the norm of the cusp below a
+    window pair over that of the pair's upper cusp at its apex (None when
+    N < 2); and ``region_norms``, per r the x-region split
+    (:data:`~convexwave.normlab.REGION_SPEC`, :func:`~convexwave.normlab.region_split`)
+    of the t = 0 slice of u^0 alone, whose contraction the walk's first pair
+    slice reuses.
     """
     a, c0 = params.a, params.c0
     root = math.sqrt((1.0 + a) * a)
@@ -810,32 +871,29 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
     third = None
     inner = np.empty((len(r_list), n_t))
     hi = CuspEvaluator(params, 0, symbol=symbol, times=times[windows == 0])
-    x = hi.x  # every evaluator of the walk samples the same x-grid
+    wx = trapezoid_weights(hi.x)  # every evaluator of the walk samples the same x-grid
 
-    def norms(vals, y):
-        return [grid_lr_norm(vals, x, y, r) for r in r_list]
+    def norms(powers, rs=r_list):
+        return [rows_norm(p, wx, r) for p, r in zip(powers, rs)]
 
-    initial = hi.field(0.0)
-    regions = [region_norms(initial, REGION_SPEC, r, params) for r in r_list]
-    del initial
+    initial = hi.field_values(0.0, r_list=r_list)[0]
+    regions = [region_split(p, hi.x, REGION_SPEC, r, params) for p, r in zip(initial, r_list)]
     for k in range(windows[-1] + 1):
         lo = hi  # frees evaluator k - 1 before k + 1 is built
         hi = (CuspEvaluator(params, k + 1, symbol=symbol, times=times[(windows == k) | (windows == k + 1)])
               if k < big_n else None)
         for i in np.flatnonzero(windows == k):
-            vals, offsets, center = lo.field_values(times[i], partner=hi)
-            y = center + offsets
-            inner[:, i] = norms(vals, y)
+            rs = (*r_list, 2) if i == 0 else r_list  # U_h(0) gives l2_initial too
+            got = norms(lo.field_values(times[i], partner=hi, r_list=rs)[0], rs)
+            inner[:, i] = got[: len(r_list)]
             if i == 0:
-                l2_initial = grid_lr_norm(vals, x, y, 2)
-            del vals  # one slice alive at a time
+                l2_initial = got[-1]
         if k + 1 == k_chk:  # both cusps of the check are alive: k_chk - 1 (lo) and k_chk (hi)
             t_chk = (4.0 * k_chk + 2.0) * root  # gap apex between k_chk and k_chk + 1
-            vals, offsets, center = hi.field_values(t_chk)
-            y = center + offsets
-            own = norms(vals, y)
-            del vals
-            third = [f / max(o, 1e-300) for f, o in zip(norms(lo.field_values(t_chk, center)[0], y), own)]
+            powers, _, center = hi.field_values(t_chk, r_list=r_list)
+            own = norms(powers)
+            below = norms(lo.field_values(t_chk, center, r_list=r_list)[0])
+            third = [f / max(o, 1e-300) for f, o in zip(below, own)]
     _HELD.entry = None  # no caller reuses the walk's last factor (77 MiB at 2^-10)
     return {
         "times": times,

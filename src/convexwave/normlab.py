@@ -25,8 +25,7 @@ _BLOCK_SAMPLES = 1 << 16  # samples per row block of the L^r reduction, so its t
 
 def grid_lr_norm(values: np.ndarray, x: np.ndarray, y: np.ndarray, r) -> float:
     """L^r norm of samples on an (x, y) rectangle; r = inf returns the max."""
-    acc = lr_power(values, trapezoid_weights(x), trapezoid_weights(y), r)
-    return acc if r == math.inf else acc ** (1.0 / r)
+    return rows_norm(row_powers(values, trapezoid_weights(y), r), trapezoid_weights(x), r)
 
 
 def lr_power(values: np.ndarray, wx: np.ndarray, wy: np.ndarray, r, right=None) -> float:
@@ -34,28 +33,48 @@ def lr_power(values: np.ndarray, wx: np.ndarray, wy: np.ndarray, r, right=None) 
 
     With ``right`` given the samples are ``values @ right`` (see :func:`row_powers`).
     """
-    rows = row_powers(values, wy, r, right)
-    return float(rows.max(initial=0.0)) if r == math.inf else float(np.dot(wx, rows))
+    return rows_norm(row_powers(values, wy, r, right), wx, r, power=True)
+
+
+def rows_norm(rows: np.ndarray, wx: np.ndarray, r, *, power: bool = False) -> float:
+    """The L^r norm (its r-th power with ``power``) of the samples whose :func:`row_powers` are
+    ``rows``, summed across rows with the weights wx; r = inf returns the max."""
+    if r == math.inf:
+        return float(rows.max(initial=0.0))
+    acc = float(np.dot(wx, rows))
+    return acc if power else acc ** (1.0 / r)
+
+
+def check_exponent(r) -> None:
+    """Raise :class:`NormError` unless r >= 1 (NaN fails too)."""
+    if not r >= 1:
+        raise NormError(f"r must be >= 1, got {r}")
 
 
 def row_powers(values: np.ndarray, wy: np.ndarray, r, right=None) -> np.ndarray:
     """sum_j wy_j |values_ij|^r for each row i; r = inf gives each row's max.
 
-    The rows are taken in blocks of about ``_BLOCK_SAMPLES`` samples, and each
-    block is checked finite before its powers are summed.  With ``right`` given
-    the samples are ``values @ right``, formed one row block at a time, so the
-    product is never held whole.
+    The rows are taken in blocks of about ``_BLOCK_SAMPLES`` samples, each
+    reduced by :func:`block_powers`.  With ``right`` given the samples are
+    ``values @ right``, formed one row block at a time, so the product is
+    never held whole.
     """
-    if not r >= 1:  # NaN fails too
-        raise NormError(f"r must be >= 1, got {r}")
+    check_exponent(r)
     out = np.empty(values.shape[0])
     step = max(1, _BLOCK_SAMPLES // max(wy.size, 1))
     for i in range(0, values.shape[0], step):
-        mod = np.abs(values[i : i + step] if right is None else values[i : i + step] @ right)
-        if not np.isfinite(mod).all():
-            raise NormError("non-finite field samples")
-        out[i : i + step] = mod.max(axis=1, initial=0.0) if r == math.inf else power_in_place(mod, r) @ wy
+        block = values[i : i + step] if right is None else values[i : i + step] @ right
+        out[i : i + step] = block_powers(block, wy, r)
     return out
+
+
+def block_powers(block: np.ndarray, wy: np.ndarray, r) -> np.ndarray:
+    """:func:`row_powers` of one cache-sized block of rows: the block is checked finite before
+    its powers are summed; r is not checked here."""
+    mod = np.abs(block)
+    if not np.isfinite(mod).all():
+        raise NormError("non-finite field samples")
+    return mod.max(axis=1, initial=0.0) if r == math.inf else power_in_place(mod, r) @ wy
 
 
 def power_in_place(mod: np.ndarray, r) -> np.ndarray:
@@ -225,26 +244,28 @@ REGION_SPEC = NormRegionSpec(M=2.0, outer_margin=0.2)
 
 
 def region_norms(field: WaveField, spec: NormRegionSpec, r, params: SemiclassicalParams) -> dict:
-    """L^r norms over the shelf / fold-band / far-side x-regions of a cusp field.
+    """L^r norms over the shelf / fold-band / far-side x-regions of a cusp field (see :func:`region_split`)."""
+    return region_split(row_powers(field.values, trapezoid_weights(field.y), r), field.x, spec, r, params)
+
+
+def region_split(rows: np.ndarray, x: np.ndarray, spec: NormRegionSpec, r, params: SemiclassicalParams) -> dict:
+    """L^r norms over the shelf / fold-band / far-side x-regions, from the row powers ``rows`` on x.
 
     The regional powers partition the full-grid quadrature sum exactly, so the
     r-th powers add up to the total without boundary double counting.  Every
     region must hold a grid row, for every r.
     """
-    rows = row_powers(field.values, trapezoid_weights(field.y), r)
     lo, hi = spec.boundaries(params)
     masks = {
-        "shelf": field.x < lo,
-        "fold": (field.x >= lo) & (field.x <= hi),
-        "outer": field.x > hi,
+        "shelf": x < lo,
+        "fold": (x >= lo) & (x <= hi),
+        "outer": x > hi,
     }
     for name, mask in masks.items():
         if not np.any(mask):
             raise NormError(f"region '{name}' is empty on the grid")
-    if r == math.inf:
-        return {name: float(rows[mask].max()) for name, mask in masks.items()}
-    wx = trapezoid_weights(field.x)
-    return {name: float(np.dot(wx[mask], rows[mask])) ** (1.0 / r) for name, mask in masks.items()}
+    wx = trapezoid_weights(x)
+    return {name: rows_norm(rows[mask], wx[mask], r) for name, mask in masks.items()}
 
 
 @dataclass

@@ -36,7 +36,7 @@ from convexwave.cusp import (
     uh_mixed_norms,
     wave_residual,
 )
-from convexwave.normlab import grid_lr_norm, lqlr_norm, lr_norm
+from convexwave.normlab import NormError, grid_lr_norm, lqlr_norm, lr_norm, row_powers
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +862,7 @@ def test_uh_mixed_norms_memory_guard():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 170 * 2**20
+    assert peak <= 115 * 2**20  # 107.2 MiB; 129.5 MiB when each slice was formed whole
 
 
 def test_held_factor_memory_guard():
@@ -882,17 +882,17 @@ def test_held_factor_memory_guard():
     assert peak <= 121.0 * 2**20
 
 
-def test_uh_mixed_norms_holds_one_slice_at_a_time():
+def test_uh_mixed_norms_holds_one_row_block_at_a_time():
     # at 2^-10 (N = 1) the walk peaks at both Airy factors, the two held
-    # contraction blocks, one (n_x, n_fft) slice and its (n_x, n_eta_dense)
-    # samples, plus 6 MiB for the symbol and the evaluators' small tables; a
-    # second slice alive adds 20 MiB (155.5 MiB with a zero-filled pad per slice)
+    # contraction blocks, one (16, n_fft) row block of a slice, plus 6 MiB for
+    # the symbol and the evaluators' small tables (108.0 MiB in all); forming
+    # each slice whole with its (n_x, n_eta_dense) samples read 130.3 MiB
     params = make_params(2.0**-10, 0.1, 0.25)
     xi_sizes = [CuspEvaluator(params, n, n_x=8).xi.size for n in (0, 1)]
     _HELD.entry = None
-    n_x, n_eta, n_eta_dense, n_fft = 320, 160, 1024, 4096
+    n_x, n_eta, n_fft = 320, 160, 4096
     bound = (8 * n_eta * n_x * (sum(xi_sizes) + 2 * 2 * _BATCH)
-             + 16 * n_x * (n_fft + n_eta_dense) + 6 * 2**20)
+             + 16 * 16 * n_fft + 6 * 2**20)
     tracemalloc.start()
     try:
         uh_mixed_norms(params, (6,), samples_per_sqrt_a=3)
@@ -901,6 +901,45 @@ def test_uh_mixed_norms_holds_one_slice_at_a_time():
         tracemalloc.stop()
         _HELD.entry = None
     assert peak <= bound
+
+
+@pytest.mark.parametrize("e", [10, 12])
+@pytest.mark.parametrize("kind", ["single", "pair", "shifted"])
+def test_norm_only_slice_equals_the_full_one(e, kind):
+    # the norm-only slice reduces each row block as it is assembled and leaves
+    # out the unimodular carrier: its row powers are those of the full slice up
+    # to rounding, for every r and for the row max; 40 rows end in a partial block
+    params = make_params(2.0**-e, 0.1, 0.25)
+    root = math.sqrt((1.0 + params.a) * params.a)
+    lo = CuspEvaluator(params, 0, n_x=40)
+    hi = CuspEvaluator(params, 1, n_x=40, symbol=lo.symbol)
+    t = 1.3 * root
+    y_center = lo.field_values(t)[2] + 0.3 * root if kind == "shifted" else None
+    partner = None if kind == "single" else hi
+    r_list = (2, 5, 6, 8, math.inf)
+    values, offsets, center = lo.field_values(t, y_center, partner)
+    powers, norm_offsets, norm_center = lo.field_values(t, y_center, partner, r_list=r_list)
+    assert norm_center == center
+    np.testing.assert_array_equal(norm_offsets, offsets)
+    assert powers.shape == (len(r_list), 40)
+    wy = trapezoid_weights(center + offsets)
+    for row, r in zip(powers, r_list):
+        np.testing.assert_allclose(row, row_powers(values, wy, r), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("r", [6, math.inf])
+@pytest.mark.parametrize("broken", ["self", "partner"])
+def test_norm_only_slice_checks_its_samples_finite(r, broken):
+    # a NaN in the spectral weights reaches every sample of its cusp; the fused
+    # reduction checks each block finite before its powers are summed
+    params = make_params(2.0**-12, 0.1, 0.25)
+    lo = CuspEvaluator(params, 0, n_x=40)
+    hi = CuspEvaluator(params, 1, n_x=40, symbol=lo.symbol)
+    (lo if broken == "self" else hi)._weights[80, 3] = np.nan
+    with pytest.raises(NormError, match="non-finite field samples"):
+        lo.field_values(0.5, partner=hi, r_list=(r,))
+    with pytest.raises(NormError, match="r must be >= 1"):
+        lo.field_values(0.5, partner=hi, r_list=(6, math.nan))
 
 
 def test_airy_factor_fill_makes_no_argument_chunk():
@@ -1118,9 +1157,9 @@ def test_partner_on_another_grid_rejected(opts):
 
 
 def test_field_values_buffers_are_fresh():
-    # the slices that callers hold are their own: the t = 0 region split keeps
-    # evaluator 0's slice and the third-cusp check keeps two slices of one
-    # time side by side, so no two field_values calls may share a buffer
+    # the slices that callers hold are their own: a caller may keep two
+    # slices of one time side by side and sum them in place, so no two
+    # field_values calls may share a buffer
     params = make_params(2.0**-12, 0.1, 0.25)
     root = math.sqrt((1.0 + params.a) * params.a)
     lo = CuspEvaluator(params, 0, n_x=40)

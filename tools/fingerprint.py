@@ -19,11 +19,20 @@ The outputs are:
 * the verdict walk (``cusp.uh_mixed_norms``) at 2^-12 and 2^-16, t-resolution
   3: the inner norms for r = 4, 5, 6, 8, inf, ``l2_initial``, the third-cusp
   fractions and the t = 0 region split;
+* ``CuspEvaluator.field_values`` at 2^-10, 2^-12 and 2^-18 (n_x = 50) for a
+  single cusp, a pair and a pair on a shifted centre: the values (hashed, with
+  their peak modulus and l2 sum as numbers), and the norm-only row powers
+  (``r_list``, r = 2, 5, 6, 8, inf) of the same slices;
+* ``TraceEvaluator.signal`` at 2^-18 for Tr_-(u^1) and Tr_+(u^2) on one centre
+  (hashed like the slices), and ``dirichlet_residual`` at 2^-18 and 2^-20
+  (its ratio, windows and edges);
 * ``gallery.norm_equivalence`` (r = 2, 6, inf) at h = 2^-8 ... 2^-14.
 
-BLAS runs single-threaded unless the environment says otherwise, so that the
-bits do not depend on the thread count.  The whole run takes about 40 s on a
-2-CPU Xeon.
+Each group of outputs is computed in its own fresh interpreter, two at a time,
+so that no output depends on the heap layout that another group's calls leave
+behind (``norm_equivalence`` at r = inf moves by 1 ulp with it).  BLAS runs
+single-threaded unless the environment says otherwise, so that the bits do not
+depend on the thread count.  The whole run takes about 45 s on a 2-CPU Xeon.
 """
 
 from __future__ import annotations
@@ -33,26 +42,25 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from convexwave import cli, cusp, gallery, normlab  # noqa: E402
-from convexwave.fields import make_transverse_grid  # noqa: E402
-from convexwave.params import make_params  # noqa: E402
-
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 README_H = [2.0**-10, 2.0**-14, 2.0**-18, 2.0**-22]
 CRITERION_R = (2, 3, 5, 6, 8)
 BOUNDARY_H = [2.7702767488752873e-06, 3.283046367631605e-07]
 WALK_E = (12, 16)
 WALK_R = (4.0, 5.0, 6.0, 8.0, math.inf)
+SLICE_E = (10, 12, 18)
+SLICE_R = (2.0, 5.0, 6.0, 8.0, math.inf)
+DIRICHLET_E = (18, 20)
 EQUIVALENCE_E = (8, 10, 12, 14)
 
 
@@ -61,11 +69,23 @@ def _numbers(values) -> dict:
     return {"sha256": hashlib.sha256(values.tobytes()).hexdigest(), "values": values.tolist()}
 
 
+def _array(values, grid) -> dict:
+    """A sampled field: the SHA-256 of its complex values' bytes and its y-grid's, and as values
+    only its peak modulus and its l2 sum, so that the fingerprint stays small."""
+    values = np.ascontiguousarray(values, dtype=complex)
+    digest = hashlib.sha256(values.tobytes())
+    digest.update(np.ascontiguousarray(grid, dtype=np.float64).tobytes())
+    mod = np.abs(values)
+    return {"sha256": digest.hexdigest(), "values": [float(mod.max()), float(np.sqrt(np.sum(mod**2)))]}
+
+
 def _file(path: Path) -> dict:
     return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def readme_run(out: dict) -> None:
+    from convexwave import cli
+
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp) / "cusp"
         code = cli.main(["cusp", "--epsilon", "0.1", "--r", "6",
@@ -76,6 +96,9 @@ def readme_run(out: dict) -> None:
 
 
 def criteria(out: dict) -> None:
+    from convexwave import cusp, normlab
+    from convexwave.params import make_params
+
     norms = {r: [] for r in CRITERION_R}
     residuals = []
     for h in README_H:
@@ -93,6 +116,9 @@ def criteria(out: dict) -> None:
 
 
 def walks(out: dict) -> None:
+    from convexwave import cusp
+    from convexwave.params import make_params
+
     for e in WALK_E:
         walk = cusp.uh_mixed_norms(make_params(2.0**-e, 0.1, 0.25), WALK_R, samples_per_sqrt_a=3)
         name = f"walk 2^-{e}"
@@ -104,7 +130,46 @@ def walks(out: dict) -> None:
         out[f"{name} region_norms"] = _numbers([v for split in walk["region_norms"] for v in split.values()])
 
 
+def slices(out: dict) -> None:
+    from convexwave.cusp import CuspEvaluator
+    from convexwave.params import make_params
+
+    for e in SLICE_E:
+        params = make_params(2.0**-e, 0.1, 0.25)
+        root = math.sqrt((1.0 + params.a) * params.a)
+        lo = CuspEvaluator(params, 0, n_x=50)
+        hi = CuspEvaluator(params, 1, n_x=50, symbol=lo.symbol)
+        t = 1.3 * root
+        shifted = lo.field_values(t)[2] + 0.3 * root
+        for name, args in (("single", (t,)), ("pair", (t, None, hi)), ("shifted pair", (t, shifted, hi))):
+            values, offsets, center = lo.field_values(*args)
+            out[f"field_values 2^-{e} {name}"] = _array(values, center + offsets)
+            out[f"field_values 2^-{e} {name} row powers"] = _numbers(lo.field_values(*args, r_list=SLICE_R)[0])
+
+
+def traces(out: dict) -> None:
+    from convexwave import cusp
+    from convexwave.params import make_params
+
+    params = make_params(2.0**-18, 0.1, 0.25)
+    t = 2.7 * 2.0 * math.sqrt((1.0 + params.a) * params.a)  # symbol argument 0.7 past u^1
+    lower = cusp.TraceEvaluator(params, 1, -1)
+    minus = lower.signal(t)
+    plus = cusp.TraceEvaluator(params, 2, +1, symbol=lower.symbol).signal(t, minus.y_center)
+    for name, sig in (("Tr_-(u^1)", minus), ("Tr_+(u^2)", plus)):
+        out[f"trace 2^-18 {name}"] = _array(sig.values, sig.y)
+    for e in DIRICHLET_E:
+        res = cusp.dirichlet_residual(make_params(2.0**-e, 0.1, 0.25))
+        out[f"dirichlet_residual 2^-{e}"] = _numbers(
+            [res["ratio"], res["n_reflections"]]
+            + [row[key] for row in res["windows"] for key in ("n", "pair_l2", "trace_l2")]
+            + [row[key] for row in res["edges"] for key in ("n", "l2", "n_times")])
+
+
 def norm_equivalence(out: dict) -> None:
+    from convexwave import gallery
+    from convexwave.fields import make_transverse_grid
+
     for r in (2.0, 6.0, math.inf):
         values = []
         for e in EQUIVALENCE_E:
@@ -115,10 +180,28 @@ def norm_equivalence(out: dict) -> None:
         out[f"norm_equivalence r={r:g}"] = _numbers(values)
 
 
+PARTS = {part.__name__: part for part in (readme_run, criteria, walks, slices, traces, norm_equivalence)}
+
+
+def _run_part(name: str) -> dict:
+    """The outputs of one part, computed in a fresh interpreter."""
+    env = dict(os.environ)
+    for var in BLAS_ENV:
+        env.setdefault(var, "1")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.json"
+        done = subprocess.run([sys.executable, __file__, "--part", name, "--out", str(path)], env=env,
+                              capture_output=True, text=True, check=False)
+        if done.returncode:
+            raise RuntimeError(f"fingerprint part {name} failed:\n{done.stderr}")
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
 def fingerprint() -> dict:
     outputs = {}
-    for part in (readme_run, criteria, walks, norm_equivalence):
-        part(outputs)
+    with ThreadPoolExecutor(max_workers=2) as pool:  # each part peaks below 200 MiB
+        for part in pool.map(_run_part, PARTS):
+            outputs.update(part)
     return outputs
 
 
@@ -145,12 +228,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", default="fingerprint.json", help="where to write this tree's fingerprint")
     parser.add_argument("--compare", help="a fingerprint.json to compare this tree's against")
+    parser.add_argument("--part", choices=sorted(PARTS), help=argparse.SUPPRESS)  # one part's outputs to --out
     args = parser.parse_args(argv)
+    if args.part:
+        sys.path.insert(0, str(SRC))
+        outputs = {}
+        PARTS[args.part](outputs)
+        Path(args.out).write_text(json.dumps(outputs), encoding="utf-8")
+        return 0
     t0 = time.perf_counter()
     outputs = fingerprint()
     seconds = time.perf_counter() - t0
     payload = {"seconds": round(seconds, 1), "numpy": np.__version__,
-               "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "outputs": outputs}
+               "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"), "outputs": outputs}
     Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(outputs)} outputs in {seconds:.1f} s -> {args.out}")
     if args.compare:
