@@ -358,14 +358,13 @@ def iterate_symbol(rho0: CuspSymbol, n: int, eta: float, params: SemiclassicalPa
 class _YAssembly:
     """The eta -> y sum  sum_e S_e e^{i eta_e y / h}  on centred y-offsets.
 
-    One unnormalized inverse FFT of length n_fft evaluates the sum at the
-    offsets j * 2 pi h / (n_fft deta), j = -n_fft/2 .. n_fft/2 - 1, followed
-    by the precomputed carrier e^{i eta_0 y / h}.  The fftshift to that order
-    is folded into the input as the signs (-1)^e (``signs``), which callers
-    multiply into their eta samples beforehand with any centre shift
-    (``phase``); the identity needs an even n_fft.  The quadrature step
-    ``deta`` is left to the caller.  A norm-only caller skips the carrier
-    (:meth:`blocks`).
+    One unnormalized inverse FFT of length n_fft (:meth:`transform`) evaluates
+    the sum at the offsets j * 2 pi h / (n_fft deta), j = -n_fft/2 .. n_fft/2 - 1;
+    the caller multiplies by the precomputed carrier e^{i eta_0 y / h}, which a
+    norm cannot see.  The fftshift to that order is folded into the input as the
+    signs (-1)^e (``signs``), which callers multiply into their eta samples
+    beforehand with any centre shift (``phase``); the identity needs an even
+    n_fft.  The quadrature step ``deta`` is left to the caller.
     """
 
     def __init__(self, eta: np.ndarray, h: float, n_fft: int):
@@ -378,41 +377,17 @@ class _YAssembly:
         self.offsets.flags.writeable = False
         self.deta = deta
         self.carrier = np.exp(1j * (eta[0] / h) * self.offsets)
-        self.step = max(1, _BLOCK_SAMPLES // n_fft)  # rows per block
+        self.step = max(1, _BLOCK_SAMPLES // n_fft)  # x-rows per block of a field slice
 
     def phase(self, shift: float) -> np.ndarray | None:
         """e^{i eta shift / h}, which moves the y-centre of eta samples by ``shift``; None for no shift."""
         return np.exp(1j * (self.eta / self.h) * shift) if shift != 0.0 else None
 
-    def assemble(self, samples: np.ndarray) -> np.ndarray:
-        """The y-samples of the signed eta samples ``samples`` (rows of eta.size), in a fresh array."""
-        rows = samples.reshape(-1, self.eta.size)
-        out = self.blocks(rows.shape[0], lambda head, i: np.copyto(head, rows[i : i + head.shape[0]]))
-        return out.reshape(samples.shape[:-1] + (self.n_fft,))
-
-    def blocks(self, n_rows: int, fill, reduce=None) -> np.ndarray | None:
-        """The y-samples of n_rows rows of signed eta samples, ``step`` rows at a time.
-
-        ``fill(head, i)`` writes the eta samples of rows i .. i + len(head) into
-        ``head``, the block's first eta.size columns; the block's tail is zeroed
-        and the block inverse-transformed in place, in cache.  Without ``reduce``
-        each block is a row block of the fresh (n_rows, n_fft) array returned,
-        multiplied by the carrier.  With it, ``reduce(block, i)`` gets each
-        block in one reused buffer, without the carrier (a norm cannot see a
-        unimodular factor), and nothing is returned.
-        """
-        step = self.step
-        out = np.empty((n_rows if reduce is None else min(step, n_rows), self.n_fft), dtype=complex)
-        for i in range(0, n_rows, step):
-            block = out[i : i + step] if reduce is None else out[: min(step, n_rows - i)]
-            fill(block[:, : self.eta.size], i)
-            block[:, self.eta.size :] = 0.0
-            np.fft.ifft(block, axis=-1, norm="forward", out=block)
-            if reduce is None:
-                block *= self.carrier
-            else:
-                reduce(block, i)
-        return out if reduce is None else None
+    def transform(self, block: np.ndarray) -> np.ndarray:
+        """The y-samples, without the carrier, of the signed eta samples in ``block[..., :eta.size]``:
+        the tail of each row of n_fft columns is zeroed and the rows inverse-transformed in place."""
+        block[..., self.eta.size :] = 0.0
+        return np.fft.ifft(block, axis=-1, norm="forward", out=block)
 
 
 # The xi cuts of the field and the trace (share of the spectrum's peak); they differ on
@@ -499,10 +474,11 @@ class CuspEvaluator:
     ``_BATCH`` at once, as 2 ``_BATCH`` columns of one matmul, and the
     (eta, x, 2m) block (6.25 MiB at 160 x 320 and m = 8) is held until its last
     time is sliced; any other time is contracted alone and nothing is held.
-    The slice is then assembled on y-offsets 16 x-rows at a time
-    (:meth:`_YAssembly.blocks`): each block's coarse rows are interpolated to
-    complex eta_dense samples straight into the block, a partner adds its own
-    rows moved by the shift phase, and the block is transformed in cache; no
+    The slice is then assembled on y-offsets 16 x-rows at a time in one loop
+    of :meth:`field_values`: the block's coarse rows of the cusp and of a
+    partner are interpolated to eta_dense together, each cusp's complex
+    samples are moved by its shift phase and summed into the block, and the
+    block is transformed in cache (:meth:`_YAssembly.transform`); no
     (n_x, n_eta_dense) samples exist.  The full-field form writes each block,
     times the carrier, into the fresh (n_x, n_fft) slice; the norm-only form
     (``r_list``) reduces each block to its row powers in one reused buffer, so
@@ -576,30 +552,6 @@ class CuspEvaluator:
             self._held = None
         return block[..., 2 * j : 2 * j + 2]
 
-    def _rows(self, t: float, center: float | None = None):
-        """(fill, center): ``fill(head, i)`` writes the signed, deta-weighted complex samples
-        [x_i .. x_{i + len(head)}, eta_dense] of the cusp at time t into ``head``, moved from
-        the cusp's own y-centre to ``center`` (by default that own centre)."""
-        a = self.params.a
-        natural = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * self.n * a**1.5
-        center = natural if center is None else float(center)
-        coarse = self._coarse(t)  # [eta, x, (re, im)]
-        phase = self._y.phase(center - natural)
-        rows = np.empty(2 * self._y.step * self.eta.size)  # one block's coarse rows
-        dense = np.empty((2 * self._y.step, self.eta_dense.size))
-
-        def fill(head, i):
-            m = head.shape[0]
-            block = rows[: 2 * m * self.eta.size].reshape(2, m, self.eta.size)
-            np.copyto(block, coarse[:, i : i + m].transpose(2, 1, 0))
-            part = self._interpolate(block.reshape(2 * m, self.eta.size), dense[: 2 * m])
-            head.real = part[:m]
-            head.imag = part[m:]
-            if phase is not None:
-                head *= phase
-
-        return fill, center
-
     def _interpolate(self, coarse: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """coarse @ _interp, one GEMM per block of dense columns over its band of coarse rows."""
         dense = np.empty((coarse.shape[0], self.eta_dense.size)) if out is None else out
@@ -612,8 +564,10 @@ class CuspEvaluator:
         """(values, y_offsets, y_center) of the cusp at time t, in a fresh array.
 
         With a ``partner`` evaluator on the same grids the values are those of
-        u^self + u^partner on self's y-centre: the partner's eta samples, moved
-        to that centre, are added before the one y-assembly.
+        u^self + u^partner on self's y-centre (by default self's own): the
+        coarse rows of both cusps are interpolated in one set of band GEMMs,
+        and the partner's eta samples, moved to that centre, are added before
+        the one y-assembly.
 
         With ``r_list`` the slice is reduced as it is assembled, and ``values``
         is replaced by ``powers[j, i] = sum_y w_y |u(x_i, y)|^{r_j}`` (the row
@@ -623,31 +577,48 @@ class CuspEvaluator:
         """
         if partner is not None and not (
                 partner.n_fft == self.n_fft and partner.params == self.params
-                and np.array_equal(partner.x, self.x) and np.array_equal(partner.eta_dense, self.eta_dense)):
-            raise CuspError("a partner cusp must share params, x, eta_dense and n_fft")
+                and np.array_equal(partner.x, self.x) and np.array_equal(partner.eta, self.eta)
+                and np.array_equal(partner.eta_dense, self.eta_dense)):
+            raise CuspError("a partner cusp must share params, x, eta, eta_dense and n_fft")
         for r in r_list or ():
             check_exponent(r)
-        fill, center = self._rows(t, y_center)
-        if partner is not None:
-            own, other = fill, partner._rows(t, center)[0]
-            added = np.empty((self._y.step, self.eta_dense.size), dtype=complex)
-
-            def fill(head, i):
-                own(head, i)
-                other(added[: head.shape[0]], i)
-                head += added[: head.shape[0]]
-
+        a = self.params.a
+        cusps = (self,) if partner is None else (self, partner)
+        natural = [t * math.sqrt(1.0 + a) - (4.0 / 3.0) * cusp.n * a**1.5 for cusp in cusps]
+        center = natural[0] if y_center is None else float(y_center)
+        coarse = [cusp._coarse(t) for cusp in cusps]  # [eta, x, (re, im)] per cusp
+        phases = [self._y.phase(center - own) for own in natural]
+        k, n_x, n_eta, n_dense, step = len(cusps), self.x.size, self.eta.size, self.eta_dense.size, self._y.step
+        rows = np.empty(k * 2 * step * n_eta)  # one block's coarse (re, im) rows of every cusp
+        dense = np.empty((k * 2 * step, n_dense))
+        partner_samples = np.empty((step, n_dense), dtype=complex) if partner is not None else None
+        block_buffer = np.empty((min(step, n_x), self.n_fft), dtype=complex)
         if r_list is None:
-            return self._y.blocks(self.x.size, fill), self._y.offsets, center
-        wy = trapezoid_weights(center + self._y.offsets)
-        powers = np.empty((len(r_list), self.x.size))
-
-        def reduce(block, i):
-            for j, r in enumerate(r_list):
-                powers[j, i : i + block.shape[0]] = block_powers(block, wy, r)
-
-        self._y.blocks(self.x.size, fill, reduce)
-        return powers, self._y.offsets, center
+            values = np.empty((n_x, self.n_fft), dtype=complex)
+        else:
+            values = np.empty((len(r_list), n_x))
+            wy = trapezoid_weights(center + self._y.offsets)
+        for i in range(0, n_x, step):
+            m = min(step, n_x - i)
+            stacked = rows[: k * 2 * m * n_eta].reshape(k, 2, m, n_eta)
+            for target, part in zip(stacked, coarse):
+                np.copyto(target, part[:, i : i + m].transpose(2, 1, 0))
+            samples = self._interpolate(stacked.reshape(-1, n_eta), dense[: k * 2 * m]).reshape(k, 2, m, n_dense)
+            block = block_buffer[:m]
+            for c, phase in enumerate(phases):
+                head = block[:, :n_dense] if c == 0 else partner_samples[:m]
+                head.real, head.imag = samples[c]
+                if phase is not None:
+                    head *= phase
+            if partner is not None:
+                block[:, :n_dense] += partner_samples[:m]
+            self._y.transform(block)
+            if r_list is None:
+                np.multiply(block, self._y.carrier, out=values[i : i + m])
+            else:
+                for j, r in enumerate(r_list):
+                    values[j, i : i + m] = block_powers(block, wy, r)
+        return values, self._y.offsets, center
 
     def field(self, t: float, y_center: float | None = None) -> WaveField:
         vals, offsets, center = self.field_values(t, y_center)
@@ -729,11 +700,14 @@ class TraceEvaluator:
             raise CuspError(f"trace argument z - 2n = {w:.2f} outside [-3, 3]")
         natural = self.y_center(t)
         center = natural if y_center is None else float(y_center)
-        samples = self._weights @ np.exp(1j * self.xi * w)
+        vals = np.empty(self._y.n_fft, dtype=complex)
+        vals[: self.eta.size] = self._weights @ np.exp(1j * self.xi * w)
         phase = self._y.phase(center - natural)
         if phase is not None:
-            samples *= phase
-        vals = self._y.assemble(samples) * self._y.deta
+            vals[: self.eta.size] *= phase
+        self._y.transform(vals)
+        vals *= self._y.carrier
+        vals *= self._y.deta
         return TraceSignal(values=vals, y=center + self._y.offsets, y_center=center, t=t,
                            n=self.n, sign=self.sign)
 

@@ -984,20 +984,39 @@ def test_airy_factor_equals_the_broadcast_formula(monkeypatch, e):
 
 
 @pytest.mark.parametrize("rows", [(50,), ()])
-def test_assemble_equals_one_zero_padded_ifft(rows):
-    # the y-assembly runs in blocks of 16 rows; 50 rows end in a partial block,
-    # and a trace signal is one row: each equals one zero-padded inverse FFT
-    # of all rows times the carrier, bit for bit, in a fresh array
+def test_transform_equals_one_zero_padded_ifft(rows):
+    # a field slice is transformed in blocks of 16 rows, and 50 rows end in a
+    # partial block; a trace signal is one row: each equals one zero-padded
+    # inverse FFT of all its rows, bit for bit, in place
     eta = np.linspace(*FrequencyWindow().support, 1024)
     assembly = cw_cusp._YAssembly(eta, 2.0**-12, 4096)
     rng = np.random.default_rng(3)
     samples = rng.normal(size=rows + (1024,)) + 1j * rng.normal(size=rows + (1024,))
     padded = np.zeros(rows + (4096,), dtype=complex)
     padded[..., :1024] = samples
-    expected = np.fft.ifft(padded, axis=-1, norm="forward") * assembly.carrier
-    got = assembly.assemble(samples)
-    assert got.shape == expected.shape and not np.shares_memory(got, samples)
+    expected = np.fft.ifft(padded, axis=-1, norm="forward")
+    got = np.full(rows + (4096,), np.nan, dtype=complex)  # the tail must be zeroed
+    got[..., :1024] = samples
+    blocks = [got[i : i + assembly.step] for i in range(0, rows[0], assembly.step)] if rows else [got]
+    for block in blocks:
+        assert assembly.transform(block) is block
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_trace_signal_is_the_transform_times_carrier_and_deta():
+    # the trace's one row of eta samples is transformed, then multiplied by the
+    # carrier and by deta, in that order, bit for bit, in a fresh array per signal
+    params = make_params(2.0**-18, 0.1, 0.25)
+    root = math.sqrt((1.0 + params.a) * params.a)
+    t = 2.7 * 2.0 * root
+    ev = cw_cusp.TraceEvaluator(params, 1, -1)
+    padded = np.zeros(4096, dtype=complex)
+    padded[: ev.eta.size] = ev._weights @ np.exp(1j * ev.xi * (t / (2.0 * root) - 2.0))  # w = 0.7 past u^1
+    expected = ev._y.transform(padded) * ev._y.carrier * ev._y.deta
+    got = ev.signal(t).values
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert not np.shares_memory(got, ev._y.carrier)
+    assert not np.shares_memory(got, ev.signal(t).values)
 
 
 @pytest.mark.parametrize("opts", [{}, {"n_x": 48}, {"n_eta_dense": 512}, {"n_fft": 2048}])
@@ -1147,12 +1166,14 @@ def test_every_walk_assembly_fft_runs_inside_field_values(spied_walk, walk_ffts)
     assert all(inside or symbol for inside, symbol in walk_ffts)
 
 
-@pytest.mark.parametrize("opts", [{"n_x": 48}, {"n_eta_dense": 512}, {"n_fft": 2048}])
+@pytest.mark.parametrize("opts", [{"n_x": 48}, {"n_eta": 120}, {"n_eta_dense": 512}, {"n_fft": 2048}])
 def test_partner_on_another_grid_rejected(opts):
+    # a pair's coarse rows are interpolated through self's bands, so the
+    # partner must share the coarse eta grid as well as the dense one
     params = make_params(2.0**-12, 0.1, 0.25)
     lo = CuspEvaluator(params, 0, n_x=40)
     hi = CuspEvaluator(params, 1, **{"n_x": 40, **opts}, symbol=lo.symbol)
-    with pytest.raises(CuspError, match="partner"):
+    with pytest.raises(CuspError, match="partner.*eta"):
         lo.field_values(0.0, partner=hi)
 
 

@@ -26,13 +26,16 @@ The outputs are:
 * ``TraceEvaluator.signal`` at 2^-18 for Tr_-(u^1) and Tr_+(u^2) on one centre
   (hashed like the slices), and ``dirichlet_residual`` at 2^-18 and 2^-20
   (its ratio, windows and edges);
+* criterion 7's verdict (r = 6, epsilon = 0.1) over the README run's h at
+  t-resolution 3: the verdict and the control's monotonicity, Q(h) and the
+  control Q(h), the fitted exponent with its stderr, and the L^q L^r norm per h;
 * ``gallery.norm_equivalence`` (r = 2, 6, inf) at h = 2^-8 ... 2^-14.
 
 Each group of outputs is computed in its own fresh interpreter, two at a time,
 so that no output depends on the heap layout that another group's calls leave
 behind (``norm_equivalence`` at r = inf moves by 1 ulp with it).  BLAS runs
 single-threaded unless the environment says otherwise, so that the bits do not
-depend on the thread count.  The whole run takes about 45 s on a 2-CPU Xeon.
+depend on the thread count.  The whole run takes 20–35 s on a 2-CPU Xeon.
 """
 
 from __future__ import annotations
@@ -166,6 +169,19 @@ def traces(out: dict) -> None:
             + [row[key] for row in res["edges"] for key in ("n", "l2", "n_times")])
 
 
+def criterion7(out: dict) -> None:
+    from convexwave import normlab
+
+    [rep] = normlab.counterexample_report((6,), 0.1, README_H, c0=0.25, samples_per_sqrt_a=3)
+    name = "criterion 7 t-resolution 3"
+    out[f"{name} verdict, control monotone"] = _numbers(
+        [("PASS", "FAIL", "UNRELIABLE", None).index(rep.verdict), rep.control_monotone_ok])
+    out[f"{name} Q"] = _numbers(rep.samples)
+    out[f"{name} control Q"] = _numbers(rep.control_samples)
+    out[f"{name} fitted exponent, stderr"] = _numbers([rep.fitted_exponent, rep.stderr])
+    out[f"{name} lqlr"] = _numbers([row["lqlr"] for row in rep.norms])
+
+
 def norm_equivalence(out: dict) -> None:
     from convexwave import gallery
     from convexwave.fields import make_transverse_grid
@@ -180,7 +196,8 @@ def norm_equivalence(out: dict) -> None:
         out[f"norm_equivalence r={r:g}"] = _numbers(values)
 
 
-PARTS = {part.__name__: part for part in (readme_run, criteria, walks, slices, traces, norm_equivalence)}
+PARTS = {part.__name__: part
+         for part in (readme_run, criteria, walks, slices, traces, criterion7, norm_equivalence)}
 
 
 def _run_part(name: str) -> dict:
