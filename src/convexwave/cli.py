@@ -1,8 +1,12 @@
 """Command-line surface: experiment orchestration with reproducible artifacts.
 
-Subcommands: airy | dispersion | gallery | cusp | billiard | report.  Each run
-resolves its configuration (JSON file overridden by flags), writes CSV/JSON
-outputs plus a manifest, and is deterministic given (config, seed).
+Subcommands: airy | dispersion | gallery | cusp | billiard | report.  Each
+subcommand's settings are declared once, in ``SETTINGS``: the table makes the
+flags, and one resolver reads the JSON config file overridden by the flags,
+parses every value and checks its bounds.  A ``cmd_*`` function then runs the
+checks that span several settings and returns the run, which gets its output
+directory only after every check has passed.  Each run writes CSV/JSON outputs
+plus a manifest, and is deterministic given (config, seed).
 
 Exit codes: 0 success, 2 usage error, 3 numeric-validity error, 4 unreliable
 verdict.
@@ -42,20 +46,116 @@ class _UsageError(Exception):
     """Configuration that names no valid work to do; exits with USAGE_EXIT."""
 
 
-@contextlib.contextmanager
-def _config_values():
-    """A config value that does not parse or validate is a usage error, raised before any output."""
-    try:
-        yield
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+class Setting:
+    """One setting of a subcommand.
+
+    ``parse`` is a type (int, float, str) or the tuple of allowed values (a
+    config value is matched by its string).  An absent or null value takes
+    ``default``.  ``least`` is the least valid value.  ``flag`` is False for a
+    config-only setting, or the tuple of values a flag takes when that is fewer
+    than a config file may give.  ``error`` is the usage error for a value out
+    of bounds or not allowed, formatted with ``value``.
+    """
+
+    def __init__(self, parse, default=None, *, least=None, flag=True, help=None, error=None):
+        self.parse, self.default, self.least = parse, default, least
+        self.flag, self.help, self.error = flag, help, error
 
 
-def _at_least_one(name: str, *values) -> None:
-    """A usage error unless every value other than None is >= 1; NaN is rejected too."""
-    for value in values:
-        if value is not None and not value >= 1:
-            raise _UsageError(f"{name} must be >= 1, got {value}")
+_SEED = Setting(int, 0, help="seed (grid jitter only)")
+_THREADS = Setting(int, 1, help="worker pool size (one h per worker)")
+_H_GRID = {  # an h_list, comma-separated, replaces the geometric grid
+    "h_list": Setting(str, flag=False),
+    "h_min": Setting(float, 1e-4),
+    "h_max": Setting(float, 1e-2),
+    "h_steps": Setting(int, 3, least=1),
+}
+
+SETTINGS = {command: {"seed": _SEED, **table} for command, table in {
+    "airy": {"count": Setting(int, 10, least=1)},
+    "dispersion": {
+        "seed": Setting(int, 0, least=0, help=_SEED.help),  # the grid jitter takes no negative seed
+        "threads": _THREADS,
+        "flow": Setting(("wave", "schrodinger"), "wave", error="unknown flow {value!r}"),
+        **_H_GRID,
+        "lambda_min": Setting(float, 30.0, least=1),
+        "lambda_max": Setting(float, 3000.0),
+        "lambda_steps": Setting(int, 16, least=1, error="empty lambda range"),
+        "epsilon": Setting(float, 0.1),
+        "k": Setting(int, 9, least=0),
+        "mu_min": Setting(float, 12.0, help="fit cut for the wave flow (mu >> 1 regime)"),
+        "win_inner": Setting(float, 0.25, flag=False),
+        "win_outer": Setting(float, 0.5, flag=False),
+    },
+    "gallery": {
+        "flow": Setting(FLOW_KINDS, "schrodinger", error="unknown flow kind {value!r}"),
+        "k": Setting(int, 0, least=0, error="mode index k must be >= 0"),
+        "q": Setting(float, least=1),  # None: the sharp q of r
+        "r": Setting(float, 6.0),
+        "data": Setting(DATA_KINDS, "coherent", error="unknown data kind {value!r}"),
+        **_H_GRID,
+        "t_max": Setting(float, 0.3, flag=False),
+        "t_steps": Setting(int, 25, least=1, flag=False),
+    },
+    "cusp": {
+        "threads": _THREADS,
+        **_H_GRID,
+        "h_list": Setting(str, help="comma-separated h values"),
+        "epsilon": Setting(float),  # required
+        "r_list": Setting(str, help="comma-separated r values"),
+        "r": Setting(float),  # r and r_list exclude each other; neither given: r = 6
+        "q": Setting(float, least=1),  # None: the sharp wave q of each r
+        "t_resolution": Setting(int, 12, least=1),
+        "c0": Setting(float, 0.25),
+    },
+    "billiard": {
+        "y": Setting(float, 0.0),
+        "t": Setting(float, 0.0),
+        "eta": Setting(float, 1.0),
+        "tau": Setting(float, 1.5),
+        "sign": Setting(tuple(_SIGNS), "+", flag=("+", "-"),
+                        error=f"sign must be one of {', '.join(_SIGNS)}, got {{value!r}}"),
+        "n": Setting(int, 1),
+    },
+    "report": {},  # reads no setting
+}.items()}
+
+
+def _at_least(key: str, value, least, error=None) -> None:
+    """A usage error unless value >= least; NaN is rejected too."""
+    if not value >= least:
+        raise _UsageError((error or "{key} must be >= {least}, got {value}").format(
+            key=key, least=least, value=value))
+
+
+def _resolve(args) -> tuple[dict, argparse.Namespace]:
+    """The settings as given (the config file's section for the command, its top-level values, then
+    the flags), and every setting of the command's table from them, parsed and checked against its
+    bounds."""
+    cfg = {}
+    if args.config:
+        full = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg.update(full.get(args.command, {}))
+        cfg.update({k: v for k, v in full.items() if not isinstance(v, dict)})
+    table = SETTINGS[args.command]
+    cfg.update({key: val for key, val in vars(args).items() if key in table and val is not None})
+    values = {}
+    for key, setting in table.items():
+        raw = cfg.get(key)
+        if raw is None:
+            values[key] = setting.default
+        elif isinstance(setting.parse, tuple):
+            if str(raw) not in setting.parse:
+                raise _UsageError(setting.error.format(value=raw))
+            values[key] = str(raw)
+        else:
+            try:
+                values[key] = setting.parse(raw)
+            except (TypeError, ValueError) as exc:
+                raise _UsageError(str(exc)) from None
+            if setting.least is not None:
+                _at_least(key, values[key], setting.least, setting.error)
+    return cfg, argparse.Namespace(**values)
 
 
 def _fmt(x) -> str:
@@ -104,219 +204,152 @@ class Manifest:
                                               encoding="utf-8")
 
 
-def _load_config(args, section: str) -> dict:
-    cfg = {}
-    if args.config:
-        full = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        cfg.update(full.get(section, {}))
-        cfg.update({k: v for k, v in full.items() if not isinstance(v, dict)})
-    for key, val in vars(args).items():
-        if val is not None and key not in ("config", "out", "command", "func"):
-            cfg[key.replace("-", "_")] = val
-    return cfg
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
-def _h_grid(cfg) -> list[float]:
+def _h_grid(s) -> list[float]:
     """The run's h values, each in make_params's range (0, 1]."""
-    if cfg.get("h_list"):
-        hs = [float(x) for x in str(cfg["h_list"]).split(",")]
-    else:
-        hs = [float(cfg.get("h_max", 1e-2)), float(cfg.get("h_min", 1e-4))]
+    hs = _floats(s.h_list) if s.h_list else [s.h_max, s.h_min]
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise _UsageError(f"h must lie in (0, 1], got {h}")
-    if cfg.get("h_list"):
+    if s.h_list:
         return hs
-    steps = int(cfg.get("h_steps", 3))
-    _at_least_one("h_steps", steps)
-    return hs[:1] if steps == 1 else list(np.geomspace(*hs, steps))
+    return hs[:1] if s.h_steps == 1 else list(np.geomspace(*hs, s.h_steps))
 
 
-def cmd_airy(args) -> int:
-    cfg = _load_config(args, "airy")
-    with _config_values():
-        count = int(cfg.get("count", 10))
-        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
-    _at_least_one("count", count)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with manifest.time("zeros"):
-        zeros = airy_zeros(count)
-    write_csv(outdir / "airy_zeros.csv", ["k", "omega_k"],
-              [(k, zeros[k]) for k in range(count)], manifest.hash)
-    write_json(outdir / "airy_branch.json", calibrate_branch_leading(), manifest.hash)
-    manifest.write(outdir)
-    return 0
+def cmd_airy(s):
+    def run(outdir: Path, manifest: Manifest) -> int:
+        with manifest.time("zeros"):
+            zeros = airy_zeros(s.count)
+        write_csv(outdir / "airy_zeros.csv", ["k", "omega_k"],
+                  [(k, zeros[k]) for k in range(s.count)], manifest.hash)
+        write_json(outdir / "airy_branch.json", calibrate_branch_leading(), manifest.hash)
+        return 0
+    return run
 
 
-def cmd_dispersion(args) -> int:
-    cfg = _load_config(args, "dispersion")
-    flow = cfg.get("flow", "wave")
-    if flow not in ("wave", "schrodinger"):
-        raise _UsageError(f"unknown flow {flow!r}")
-    with _config_values():
-        lam_min = float(cfg.get("lambda_min", 30.0))
-        lam_max = float(cfg.get("lambda_max", 3000.0))
-        lam_steps = int(cfg.get("lambda_steps", 16))
-        h_list = _h_grid(cfg)
-        epsilon = float(cfg.get("epsilon", 0.1))
-        k_mode = int(cfg.get("k", 9))
-        window = FrequencyWindow(1.0, float(cfg.get("win_inner", 0.25)), float(cfg.get("win_outer", 0.5)))
-        threads = int(cfg.get("threads", 1))
-        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
-        mu_min = float(cfg.get("mu_min", 12.0))
-    if lam_steps < 1 or lam_max <= lam_min:
+def cmd_dispersion(s):
+    if s.lambda_max <= s.lambda_min:
         raise _UsageError("empty lambda range")
-    _at_least_one("lambda_min", lam_min)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    omega = airy_zeros(k_mode + 1)[k_mode]
-    lam_grid = np.geomspace(lam_min, lam_max, lam_steps)
-    scan = gamma_wave if flow == "wave" else gamma_schrodinger
+    window = FrequencyWindow(1.0, s.win_inner, s.win_outer)
+    params = [make_params(h, s.epsilon, 0.2) for h in _h_grid(s)]
 
-    def one(h):
-        return scan(make_params(h, epsilon, 0.2), omega, 2, lam_grid, window=window, seed=manifest.seed or None)
+    def run(outdir: Path, manifest: Manifest) -> int:
+        omega = airy_zeros(s.k + 1)[s.k]
+        lam_grid = np.geomspace(s.lambda_min, s.lambda_max, s.lambda_steps)
+        scan = gamma_wave if s.flow == "wave" else gamma_schrodinger
 
-    with manifest.time("scan"):
-        curves = parallel_map(one, h_list, threads)
-        pooled = pool_curves(curves)
-        if flow == "wave":
-            pooled.fit(mu_min=mu_min)
-    rows = [row for c in curves for row in c.rows()]
-    write_csv(outdir / "dispersion.csv", ["flow", "d", "h", "lambda", "mu", "gamma"], rows, manifest.hash)
-    write_json(outdir / "dispersion_fit.json", {
-        "flow": flow, "k": k_mode,
-        "lambda_exponent": pooled.fitted_lambda_exponent,
-        "lambda_stderr": pooled.lambda_stderr,
-        "h_exponent": pooled.fitted_h_exponent,
-        "h_stderr": pooled.h_stderr,
-        "meta": {k: v for k, v in pooled.meta.items() if k != "stationary_rho_inside_window"},
-    }, manifest.hash)
-    manifest.write(outdir)
-    return 0
+        def one(p):
+            return scan(p, omega, 2, lam_grid, window=window, seed=s.seed or None)
 
-
-def cmd_gallery(args) -> int:
-    cfg = _load_config(args, "gallery")
-    flow = cfg.get("flow", "schrodinger")
-    data = cfg.get("data", "coherent")
-    with _config_values():
-        if flow not in FLOW_KINDS:
-            raise ValueError(f"unknown flow kind {flow!r}")
-        if data not in DATA_KINDS:
-            raise ValueError(f"unknown data kind {data!r}")
-        k_mode = int(cfg.get("k", 0))
-        r = float(cfg.get("r", 6.0))
-        sharp_q = sharp_schrodinger_q if flow == "schrodinger" else sharp_wave_q
-        q = float(cfg["q"]) if cfg.get("q") is not None else float(sharp_q(r))
-        _at_least_one("q", q)  # a derived q too: r < 2 gives a negative one
-        h_list = _h_grid(cfg)
-        t_max = float(cfg.get("t_max", 0.3))
-        t_steps = int(cfg.get("t_steps", 25))
-        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
-    if k_mode < 0:
-        raise _UsageError("mode index k must be >= 0")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with manifest.time("quotients"):
-        res = strichartz_quotient(flow, data, q, r, (0.0, t_max), h_list, k=k_mode, n_t=t_steps)
-    write_csv(outdir / "gallery_quotients.csv", ["h", "quotient"], res.samples, manifest.hash)
-    write_json(outdir / "gallery_fit.json", {
-        "flow": flow, "data": data, "k": k_mode, "q": q, "r": r,
-        "fitted_exponent": res.fitted_exponent, "stderr": res.stderr,
-        "reliable": res.reliable,
-        # the synthesis shortcuts, each at its worst over h
-        **{key: max(row[key] for row in res.meta["rows"])
-           for key in ("rank", "rank_residual", "screen_bound", "kept_share")},
-    }, manifest.hash)
-    manifest.write(outdir)
-    return 0
+        with manifest.time("scan"):
+            curves = parallel_map(one, params, s.threads)
+            pooled = pool_curves(curves)
+            if s.flow == "wave":
+                pooled.fit(mu_min=s.mu_min)
+        rows = [row for c in curves for row in c.rows()]
+        write_csv(outdir / "dispersion.csv", ["flow", "d", "h", "lambda", "mu", "gamma"], rows, manifest.hash)
+        write_json(outdir / "dispersion_fit.json", {
+            "flow": s.flow, "k": s.k,
+            "lambda_exponent": pooled.fitted_lambda_exponent,
+            "lambda_stderr": pooled.lambda_stderr,
+            "h_exponent": pooled.fitted_h_exponent,
+            "h_stderr": pooled.h_stderr,
+            "meta": {k: v for k, v in pooled.meta.items() if k != "stationary_rho_inside_window"},
+        }, manifest.hash)
+        return 0
+    return run
 
 
-def cmd_cusp(args) -> int:
-    cfg = _load_config(args, "cusp")
-    if cfg.get("epsilon") is None:
+def cmd_gallery(s):
+    q = s.q
+    if q is None:
+        q = float((sharp_schrodinger_q if s.flow == "schrodinger" else sharp_wave_q)(s.r))
+        _at_least("q", q, 1)  # r < 2 gives a negative one
+    h_list = _h_grid(s)
+
+    def run(outdir: Path, manifest: Manifest) -> int:
+        with manifest.time("quotients"):
+            res = strichartz_quotient(s.flow, s.data, q, s.r, (0.0, s.t_max), h_list, k=s.k, n_t=s.t_steps)
+        write_csv(outdir / "gallery_quotients.csv", ["h", "quotient"], res.samples, manifest.hash)
+        write_json(outdir / "gallery_fit.json", {
+            "flow": s.flow, "data": s.data, "k": s.k, "q": q, "r": s.r,
+            "fitted_exponent": res.fitted_exponent, "stderr": res.stderr,
+            "reliable": res.reliable,
+            # the synthesis shortcuts, each at its worst over h
+            **{key: max(row[key] for row in res.meta["rows"])
+               for key in ("rank", "rank_residual", "screen_bound", "kept_share")},
+        }, manifest.hash)
+        return 0
+    return run
+
+
+def cmd_cusp(s):
+    if s.epsilon is None:
         raise _UsageError("--epsilon is required for the cusp experiment")
-    with _config_values():
-        epsilon = float(cfg["epsilon"])
-        if cfg.get("r_list") is not None and cfg.get("r") is not None:
-            raise ValueError("give r or r_list, not both")
-        r_list = [float(x) for x in str(cfg.get("r_list", cfg.get("r", "6"))).split(",")]
-        h_list = _h_grid(cfg)
-        c0 = float(cfg.get("c0", 0.25))
-        q = None if cfg.get("q") is None else float(cfg["q"])
-        t_resolution = int(cfg.get("t_resolution", 12))
-        threads = int(cfg.get("threads", 1))
-        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
-        _at_least_one("r", *r_list)
-        _at_least_one("t_resolution", t_resolution)
-        _at_least_one("q", q)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if s.r is not None and s.r_list is not None:
+        raise _UsageError("give r or r_list, not both")
+    r_list = [s.r] if s.r is not None else _floats("6" if s.r_list is None else s.r_list)
+    for r in r_list:
+        _at_least("r", r, 1)
+    h_list = _h_grid(s)
+    params_per_h = [make_params(h, s.epsilon, s.c0) for h in h_list]
 
-    residual_rows = []
-    with manifest.time("boundary_residual"):
-        for h in h_list:
-            params = make_params(h, epsilon, c0)
-            try:
-                ratio = boundary_residual(0, params)
-                residual_rows.append({"n": 0, "lambda": params.lam, "residual_ratio": ratio})
-            except CuspError as exc:
-                residual_rows.append({"n": 0, "lambda": params.lam, "error": str(exc)})
-    write_json(outdir / "boundary_residual.json", {"records": residual_rows}, manifest.hash)
+    def run(outdir: Path, manifest: Manifest) -> int:
+        residual_rows = []
+        with manifest.time("boundary_residual"):
+            for params in params_per_h:
+                try:
+                    ratio = boundary_residual(0, params)
+                    residual_rows.append({"n": 0, "lambda": params.lam, "residual_ratio": ratio})
+                except CuspError as exc:
+                    residual_rows.append({"n": 0, "lambda": params.lam, "error": str(exc)})
+        write_json(outdir / "boundary_residual.json", {"records": residual_rows}, manifest.hash)
 
-    judged = any(r > 4.0 for r in r_list)
-    with manifest.time("verdict" if judged else "region_norms"):
-        if judged:  # one walk per h serves every r and gives the t = 0 region split of u^0
-            reports = counterexample_report(r_list, epsilon, h_list, c0=c0, q=q,
-                                            samples_per_sqrt_a=t_resolution, threads=threads)
-            splits = [meas["region_norms"] for meas in reports[0].norms]
-        else:  # no walk to take the split from: build u^0 per h
-            reports, splits = [], []
-            for h in h_list:
-                params = make_params(h, epsilon, c0)
-                fld = cusp_field(0, 0.0, params)
-                splits.append([region_norms(fld, REGION_SPEC, r, params) for r in r_list])
-                del fld  # no region field outlives its iteration (it is 20 MiB at h=2^-12)
-    norm_rows = [(h, rep.r, rep.q, qv) for rep in reports for h, qv in rep.samples]
-    by_r = iter(reports)  # one per r > 4, in the order of r_list
-    verdicts = [next(by_r).to_dict() if r > 4.0 else
-                {"r": r, "verdict": "NOT-APPLICABLE", "reason": "construction yields no contradiction for r <= 4"}
-                for r in r_list]
-    region_rows = [(h, 0, 0.0, r, region, value)
-                   for h, split in zip(h_list, splits)
-                   for r, norms in zip(r_list, split) for region, value in norms.items()]
-    write_csv(outdir / "region_norms.csv", ["h", "n", "t", "r", "region", "norm"],
-              region_rows, manifest.hash)
-    write_csv(outdir / "cusp_norms.csv", ["h", "r", "q", "Q"], norm_rows, manifest.hash)
-    write_json(outdir / "verdict.json", {"verdicts": verdicts}, manifest.hash)
-    manifest.write(outdir)
-    return UNRELIABLE_EXIT if any(rep.verdict == "UNRELIABLE" for rep in reports) else 0
+        judged = any(r > 4.0 for r in r_list)
+        with manifest.time("verdict" if judged else "region_norms"):
+            if judged:  # one walk per h serves every r and gives the t = 0 region split of u^0
+                reports = counterexample_report(r_list, s.epsilon, h_list, c0=s.c0, q=s.q,
+                                                samples_per_sqrt_a=s.t_resolution, threads=s.threads)
+                splits = [meas["region_norms"] for meas in reports[0].norms]
+            else:  # no walk to take the split from: build u^0 per h
+                reports, splits = [], []
+                for params in params_per_h:
+                    fld = cusp_field(0, 0.0, params)
+                    splits.append([region_norms(fld, REGION_SPEC, r, params) for r in r_list])
+                    del fld  # no region field outlives its iteration (it is 20 MiB at h=2^-12)
+        norm_rows = [(h, rep.r, rep.q, qv) for rep in reports for h, qv in rep.samples]
+        by_r = iter(reports)  # one per r > 4, in the order of r_list
+        verdicts = [next(by_r).to_dict() if r > 4.0 else
+                    {"r": r, "verdict": "NOT-APPLICABLE", "reason": "construction yields no contradiction for r <= 4"}
+                    for r in r_list]
+        region_rows = [(h, 0, 0.0, r, region, value)
+                       for h, split in zip(h_list, splits)
+                       for r, norms in zip(r_list, split) for region, value in norms.items()]
+        write_csv(outdir / "region_norms.csv", ["h", "n", "t", "r", "region", "norm"],
+                  region_rows, manifest.hash)
+        write_csv(outdir / "cusp_norms.csv", ["h", "r", "q", "Q"], norm_rows, manifest.hash)
+        write_json(outdir / "verdict.json", {"verdicts": verdicts}, manifest.hash)
+        return UNRELIABLE_EXIT if any(rep.verdict == "UNRELIABLE" for rep in reports) else 0
+    return run
 
 
-def cmd_billiard(args) -> int:
-    cfg = _load_config(args, "billiard")
-    with _config_values():
-        point = PhaseSpacePoint(y=float(cfg.get("y", 0.0)), t=float(cfg.get("t", 0.0)),
-                                eta=float(cfg.get("eta", 1.0)), tau=float(cfg.get("tau", 1.5)))
-        n = int(cfg.get("n", 1))
-        manifest = Manifest(cfg, int(cfg.get("seed", 0)))
-        sign = _SIGNS.get(str(cfg.get("sign", "+")))
-        if sign is None:
-            raise ValueError(f"sign must be one of {', '.join(_SIGNS)}, got {cfg['sign']!r}")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = [(0, point.y, point.t, point.eta, point.tau)]
-    for j in range(1, n + 1):
-        p = billiard_iterate(point, sign, j)
-        rows.append((j, p.y, p.t, p.eta, p.tau))
-    write_csv(outdir / "billiard.csv", ["n", "y", "t", "eta", "tau"], rows, manifest.hash)
-    manifest.write(outdir)
-    return 0
+def cmd_billiard(s):
+    point = PhaseSpacePoint(y=s.y, t=s.t, eta=s.eta, tau=s.tau)
+
+    def run(outdir: Path, manifest: Manifest) -> int:
+        rows = [(0, point.y, point.t, point.eta, point.tau)]
+        for j in range(1, s.n + 1):
+            p = billiard_iterate(point, _SIGNS[s.sign], j)
+            rows.append((j, p.y, p.t, p.eta, p.tau))
+        write_csv(outdir / "billiard.csv", ["n", "y", "t", "eta", "tau"], rows, manifest.hash)
+        return 0
+    return run
 
 
-def cmd_report(args) -> int:
-    outdir = Path(args.out)
+def cmd_report(outdir: Path) -> int:
     if not outdir.exists():
         raise _UsageError(f"no run directory {outdir}")
     summary = {}
@@ -334,80 +367,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="convexwave",
                                      description="dispersive scaling laboratory for a model convex domain")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, help_text, func in (
+            ("airy", "write the Airy zero table", cmd_airy),
+            ("dispersion", "dispersive amplitude scans", cmd_dispersion),
+            ("gallery", "gallery-mode Strichartz quotients", cmd_gallery),
+            ("cusp", "reflected-cusp norms, residuals and verdict", cmd_cusp),
+            ("billiard", "iterate the billiard ball map", cmd_billiard),
+            ("report", "summarize artifacts from a run directory", cmd_report)):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="seed (grid jitter only)")
         p.add_argument("--config", help="JSON config file with per-command sections")
-
-    p = sub.add_parser("airy", help="write the Airy zero table")
-    common(p)
-    p.add_argument("--count", type=int)
-    p.set_defaults(func=cmd_airy)
-
-    p = sub.add_parser("dispersion", help="dispersive amplitude scans")
-    common(p)
-    p.add_argument("--threads", type=int, help="worker pool size (one h per worker)")
-    p.add_argument("--flow", choices=["wave", "schrodinger"])
-    p.add_argument("--h-min", type=float)
-    p.add_argument("--h-max", type=float)
-    p.add_argument("--h-steps", type=int)
-    p.add_argument("--lambda-min", type=float)
-    p.add_argument("--lambda-max", type=float)
-    p.add_argument("--lambda-steps", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--mu-min", type=float, help="fit cut for the wave flow (mu >> 1 regime)")
-    p.set_defaults(func=cmd_dispersion)
-
-    p = sub.add_parser("gallery", help="gallery-mode Strichartz quotients")
-    common(p)
-    p.add_argument("--flow", choices=FLOW_KINDS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--data", choices=DATA_KINDS)
-    p.add_argument("--h-min", type=float)
-    p.add_argument("--h-max", type=float)
-    p.add_argument("--h-steps", type=int)
-    p.set_defaults(func=cmd_gallery)
-
-    p = sub.add_parser("cusp", help="reflected-cusp norms, residuals and verdict")
-    common(p)
-    p.add_argument("--threads", type=int, help="worker pool size (one h per worker)")
-    p.add_argument("--h-list", help="comma-separated h values")
-    p.add_argument("--h-min", type=float)
-    p.add_argument("--h-max", type=float)
-    p.add_argument("--h-steps", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--r-list", help="comma-separated r values")
-    p.add_argument("--r", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--t-resolution", type=int)
-    p.add_argument("--c0", type=float)
-    p.set_defaults(func=cmd_cusp)
-
-    p = sub.add_parser("billiard", help="iterate the billiard ball map")
-    common(p)
-    p.add_argument("--y", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--sign", choices=["+", "-"])
-    p.add_argument("--n", type=int)
-    p.set_defaults(func=cmd_billiard)
-
-    p = sub.add_parser("report", help="summarize artifacts from a run directory")
-    common(p)
-    p.set_defaults(func=cmd_report)
+        for key, setting in SETTINGS[name].items():
+            if setting.flag is False:
+                continue
+            if isinstance(setting.parse, tuple):
+                kind = {"choices": setting.parse if setting.flag is True else setting.flag}
+            else:
+                kind = {"type": setting.parse}
+            p.add_argument("--" + key.replace("_", "-"), help=setting.help, **kind)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "report":
+            return cmd_report(Path(args.out))
+        try:  # every check runs before the output directory is made
+            cfg, settings = _resolve(args)
+            run = args.func(settings)
+        except (OSError, ValueError) as exc:  # an unreadable config; ParameterError: make_params's own rules
+            raise _UsageError(str(exc)) from None
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        manifest = Manifest(cfg, settings.seed)
+        code = run(outdir, manifest)
+        manifest.write(outdir)
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

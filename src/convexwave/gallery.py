@@ -16,7 +16,7 @@ import numpy as np
 
 from .airy import ai, airy_zeros
 from .fields import FrequencyWindow, TransverseGrid, WaveField, make_transverse_grid, trapezoid_weights
-from .normlab import NormScanResult, fit_exponent, lqlr_norm, lr_norm, lr_power
+from .normlab import NormScanResult, fit_exponent, lqlr_norm, lr_norm, lr_power, spans_fit
 from .oscillatory import g_schrodinger, g_wave
 
 
@@ -343,10 +343,7 @@ def strichartz_quotient(flow_kind: str, data: str, q, r, t_window, h_list, *, k:
     r = float(r) if r != math.inf else math.inf
     rows = [_quotient_one_h(flow_kind, data, k, q, r, t_window, float(h), n_t) for h in h_list]
     samples = [(row["h"], row["quotient"]) for row in rows]
-    slope, stderr = None, None
-    hs = [s[0] for s in samples]
-    if len(samples) >= 4 and math.log10(max(hs) / min(hs)) >= 1.5:
-        slope, stderr = fit_exponent(samples)
+    slope, stderr = fit_exponent(samples) if spans_fit(samples) else (None, None)
     return NormScanResult(q=q, r=r, t_window=tuple(t_window), samples=samples,
                           fitted_exponent=slope, stderr=stderr, reliable=True,
                           meta={"flow": flow_kind, "data": data, "k": k, "rows": rows})

@@ -282,12 +282,10 @@ class NormScanResult:
     meta: dict = field(default_factory=dict)
 
 
-def _fit_if_spanning(samples):
+def spans_fit(samples) -> bool:
+    """Whether (h, value) samples carry an exponent fit: at least 4, spanning at least 1.5 decades of h."""
     hs = [h for h, _ in samples]
-    if len(samples) >= 4 and math.log10(max(hs) / min(hs)) >= 1.5:
-        fit = fit_exponent(samples)
-        return fit.slope, fit.stderr
-    return None, None
+    return len(samples) >= 4 and math.log10(max(hs) / min(hs)) >= 1.5
 
 
 @dataclass
@@ -355,7 +353,7 @@ def counterexample_report(r_list, epsilon, h_list, *, q=None, c0=0.25,
             norms.append({"h": params.h, "n_reflections": params.n_reflections, "lqlr": lqlr, **meas})
         reliable = all(m["third_cusp_fraction"] is None or m["third_cusp_fraction"][j] < 1e-3 for m in per_h)
 
-        fitted, stderr = _fit_if_spanning(samples)
+        fitted, stderr = fit_exponent(samples) if spans_fit(samples) else (None, None)
         verdict = None
         control_ok = None
         if len(samples) >= 2:

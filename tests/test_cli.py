@@ -219,13 +219,25 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
     (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--q", "nan"], None),
     (["gallery", "--q", 0], None),
     (["gallery", "--r", 1.5, "--h-max", 2.0**-8, "--h-min", 2.0**-9, "--h-steps", 2], None),
+    (["gallery"], {"gallery": {"t_steps": 0}}),
+    (["gallery"], {"gallery": {"t_steps": -2}}),
+    (["dispersion", "--k", -1], None),
+    (["dispersion", "--seed", -1], None),
+    (["cusp", "--epsilon", 1.5, "--h-list", 2.0**-10], None),
+    (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--c0", 0.5], None),
+    (["cusp", "--epsilon", 0.1, "--h-list", 1], None),
+    (["dispersion", "--epsilon", 1.5], None),
+    (["airy", "--config", "no-such-config.json"], None),
 ], ids=["lambda_min_below_1", "h_min_zero", "h_min_negative", "window_inner_not_below_outer",
         "gallery_r_not_a_number", "gallery_unknown_data", "gallery_unknown_flow",
         "cusp_h_list_zero", "cusp_h_max_above_1",
         "cusp_t_resolution_zero", "cusp_t_resolution_negative", "cusp_r_nan", "cusp_r_zero",
         "cusp_r_negative", "cusp_r_below_1", "cusp_r_and_r_list_flags", "cusp_r_flag_and_r_list_config",
         "cusp_q_zero", "cusp_q_nan", "gallery_q_zero",
-        "gallery_derived_q_negative"])
+        "gallery_derived_q_negative", "gallery_t_steps_zero", "gallery_t_steps_negative",
+        "dispersion_k_negative", "dispersion_seed_negative", "cusp_epsilon_above_1",
+        "cusp_c0_above_a_third", "cusp_h_too_large_for_lambda", "dispersion_epsilon_above_1",
+        "config_file_missing"])
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, argv, config):
     out = tmp_path / "bad"
     if config is not None:

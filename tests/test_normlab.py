@@ -19,6 +19,7 @@ from convexwave.normlab import (
     lr_power,
     power_in_place,
     region_norms,
+    spans_fit,
 )
 from convexwave.params import make_params
 from convexwave.cusp import cusp_field
@@ -124,6 +125,13 @@ def test_fit_exponent_with_noise_within_stderr(rng):
     vals = 2.0 * hs**1.25 * np.exp(rng.normal(0.0, 0.01, hs.size))
     fit = fit_exponent(list(zip(hs, vals)))
     assert abs(fit.slope - 1.25) <= 3.0 * fit.stderr
+
+
+def test_spans_fit_needs_four_samples_over_one_and_a_half_decades():
+    assert spans_fit([(h, 1.0) for h in np.geomspace(2.0**-8, 2.0**-13, 6)])  # 1.505 decades
+    assert not spans_fit([(h, 1.0) for h in np.geomspace(2.0**-8, 2.0**-12, 6)])  # 1.204 decades
+    assert not spans_fit([(h, 1.0) for h in (1e-1, 1e-3, 1e-5)])  # 3 samples
+    assert not spans_fit([])
 
 
 def test_fit_exponent_guards():

@@ -29,13 +29,22 @@ The outputs are:
 * criterion 7's verdict (r = 6, epsilon = 0.1) over the README run's h at
   t-resolution 3: the verdict and the control's monotonicity, Q(h) and the
   control Q(h), the fitted exponent with its stderr, and the L^q L^r norm per h;
-* ``gallery.norm_equivalence`` (r = 2, 6, inf) at h = 2^-8 ... 2^-14.
+* ``gallery.norm_equivalence`` (r = 2, 6, inf) at h = 2^-8 ... 2^-14;
+* every subcommand through ``cli.main``, each run's exit code, artifacts and
+  ``manifest.json`` without its timings: ``airy --count 10``, the README
+  ``billiard`` run, ``gallery`` over 2^-8 ... 2^-13 in 6 steps (enough for its
+  exponent fit), ``dispersion --flow wave`` at 2 h with lambda from 30 to 3000
+  in 4 steps, ``cusp --r-list 3,6`` and ``cusp --r 3`` at 2^-10 and 2^-12
+  (t-resolution 3), a ``gallery`` run from a config file that sets the
+  config-only ``h_list`` and ``t_steps`` and whose ``--r`` flag overrides the
+  file's ``r``, and ``report`` on the first cusp run.
 
 Each group of outputs is computed in its own fresh interpreter, two at a time,
 so that no output depends on the heap layout that another group's calls leave
 behind (``norm_equivalence`` at r = inf moves by 1 ulp with it).  BLAS runs
 single-threaded unless the environment says otherwise, so that the bits do not
-depend on the thread count.  The whole run takes 20–35 s on a 2-CPU Xeon.
+depend on the thread count.  The whole run takes 20–35 s on a 2-CPU Xeon (the CLI
+runs about 3.5 s of it).
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ SLICE_E = (10, 12, 18)
 SLICE_R = (2.0, 5.0, 6.0, 8.0, math.inf)
 DIRICHLET_E = (18, 20)
 EQUIVALENCE_E = (8, 10, 12, 14)
+CLI_H = (2.0**-10, 2.0**-12)
 
 
 def _numbers(values) -> dict:
@@ -196,8 +206,47 @@ def norm_equivalence(out: dict) -> None:
         out[f"norm_equivalence r={r:g}"] = _numbers(values)
 
 
+def _run_dir(out: dict, name: str, code: int, run: Path) -> None:
+    """A CLI run: its exit code, every artifact, and its manifest without the timings."""
+    out[f"cli {name} exit code"] = _numbers([code])
+    for path in sorted(run.iterdir()):
+        if path.name != "manifest.json":
+            out[f"cli {name} {path.name}"] = _file(path)
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["timings"]
+    out[f"cli {name} manifest.json"] = {
+        "sha256": hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()}
+
+
+def cli(out: dict) -> None:
+    from convexwave.cli import main as cli_main
+
+    h_list = ",".join(repr(h) for h in CLI_H)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"  # sets the config-only t_steps and h_list; the flag overrides r
+        config.write_text(json.dumps({"gallery": {"h_list": h_list, "t_steps": 5, "r": 4}}), encoding="utf-8")
+        runs = {
+            "airy": ["airy", "--count", "10"],
+            "billiard": ["billiard", "--eta", "1", "--tau", "1.4142135623730951", "--sign", "+", "--n", "5"],
+            "gallery": ["gallery", "--h-max", repr(2.0**-8), "--h-min", repr(2.0**-13), "--h-steps", "6"],
+            "dispersion": ["dispersion", "--flow", "wave", "--h-min", "1e-3", "--h-max", "1e-2", "--h-steps", "2",
+                           "--lambda-min", "30", "--lambda-max", "3000", "--lambda-steps", "4"],
+            "cusp r-list 3,6": ["cusp", "--epsilon", "0.1", "--r-list", "3,6", "--h-list", h_list,
+                                "--t-resolution", "3"],
+            "cusp r 3": ["cusp", "--epsilon", "0.1", "--r", "3", "--h-list", h_list, "--t-resolution", "3"],
+            "gallery from a config": ["gallery", "--config", str(config), "--r", "6"],
+        }
+        for name, argv in runs.items():
+            run = Path(tmp) / name.replace(" ", "_")
+            _run_dir(out, name, cli_main(argv + ["--out", str(run)]), run)
+        run = Path(tmp) / "cusp_r-list_3,6"
+        code = cli_main(["report", "--out", str(run)])
+        out["cli report exit code"] = _numbers([code])
+        out["cli report summary.json"] = _file(run / "summary.json")
+
+
 PARTS = {part.__name__: part
-         for part in (readme_run, criteria, walks, slices, traces, criterion7, norm_equivalence)}
+         for part in (readme_run, criteria, walks, slices, traces, criterion7, norm_equivalence, cli)}
 
 
 def _run_part(name: str) -> dict:
