@@ -4,9 +4,11 @@ Subcommands: airy | dispersion | gallery | cusp | billiard | report.  Each
 subcommand's settings are declared once, in ``SETTINGS``: the table makes the
 flags, and one resolver reads the JSON config file overridden by the flags,
 parses every value and checks its bounds.  A ``cmd_*`` function then runs the
-checks that span several settings and returns the run, which gets its output
-directory only after every check has passed.  Each run writes CSV/JSON outputs
-plus a manifest, and is deterministic given (config, seed).
+checks that span several settings and returns the run.  Its first artifact
+makes the output directory, after every check has passed, so input that fails
+a check or a run that fails before any artifact leaves no directory.  Each run
+writes CSV/JSON outputs plus a manifest, and is deterministic given (config,
+seed).
 
 Exit codes: 0 success, 2 usage error, 3 numeric-validity error, 4 unreliable
 verdict.
@@ -30,8 +32,9 @@ from .fields import FrequencyWindow
 from .gallery import DATA_KINDS, FLOW_KINDS, GalleryError, strichartz_quotient
 from .oscillatory import GridCoverageError, QuadratureError, gamma_schrodinger, gamma_wave, pool_curves
 from .params import ParameterError, make_params, sharp_schrodinger_q, sharp_wave_q
-from .cusp import CuspError, PhaseSpacePoint, billiard_iterate, boundary_residual, cusp_field
-from .normlab import REGION_SPEC, NormError, counterexample_report, parallel_map, region_norms
+# cusp_field is not called here: perfbench/tracing.py patches cli.cusp_field until ROADMAP item 1
+from .cusp import CuspError, CuspEvaluator, PhaseSpacePoint, billiard_iterate, boundary_residual, cusp_field
+from .normlab import NormError, counterexample_report, parallel_map
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -165,6 +168,7 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header, rows, manifest_hash: str):
+    path.parent.mkdir(parents=True, exist_ok=True)  # a run's first artifact makes its directory
     lines = [f"# manifest={manifest_hash}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -172,6 +176,7 @@ def write_csv(path: Path, header, rows, manifest_hash: str):
 
 
 def write_json(path: Path, obj, manifest_hash: str):
+    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"manifest": manifest_hash, **obj}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -314,12 +319,9 @@ def cmd_cusp(s):
                 reports = counterexample_report(r_list, s.epsilon, h_list, c0=s.c0, q=s.q,
                                                 samples_per_sqrt_a=s.t_resolution, threads=s.threads)
                 splits = [meas["region_norms"] for meas in reports[0].norms]
-            else:  # no walk to take the split from: build u^0 per h
-                reports, splits = [], []
-                for params in params_per_h:
-                    fld = cusp_field(0, 0.0, params)
-                    splits.append([region_norms(fld, REGION_SPEC, r, params) for r in r_list])
-                    del fld  # no region field outlives its iteration (it is 20 MiB at h=2^-12)
+            else:  # no walk: the same norm-only t = 0 slice of u^0, per h
+                reports = []
+                splits = [CuspEvaluator(p, 0).initial_regions(r_list) for p in params_per_h]
         norm_rows = [(h, rep.r, rep.q, qv) for rep in reports for h, qv in rep.samples]
         by_r = iter(reports)  # one per r > 4, in the order of r_list
         verdicts = [next(by_r).to_dict() if r > 4.0 else
@@ -394,13 +396,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(Path(args.out))
-        try:  # every check runs before the output directory is made
+        try:  # every check runs before any output is written
             cfg, settings = _resolve(args)
             run = args.func(settings)
         except (OSError, ValueError) as exc:  # an unreadable config; ParameterError: make_params's own rules
             raise _UsageError(str(exc)) from None
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         manifest = Manifest(cfg, settings.seed)
         code = run(outdir, manifest)
         manifest.write(outdir)

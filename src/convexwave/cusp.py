@@ -26,7 +26,7 @@ import numpy as np
 
 from .airy import _LEADING, _UK, AiryTable, _branch_series, cubic_coefficients, cubic_interpolate
 from .fields import FrequencyWindow, WaveField, trapezoid_weights
-from .normlab import _BLOCK_SAMPLES, REGION_SPEC, block_powers, check_exponent, region_split, rows_norm
+from .normlab import _BLOCK_SAMPLES, block_powers, check_exponent, region_split, rows_norm
 from .params import SemiclassicalParams, reflection_count
 
 __all__ = [
@@ -281,19 +281,17 @@ def symbol_grid(params: SemiclassicalParams) -> tuple[int, float]:
     return min(n, 1 << 18), z_max
 
 
-def make_symbol(support, params: SemiclassicalParams, *, n_points: int | None = None,
+def make_symbol(params: SemiclassicalParams, *, n_points: int | None = None,
                 z_max: float | None = None, profile=None) -> CuspSymbol:
     """Mollified symbol on the grid: Gaussian-core profile convolved with k_lam.
 
-    The profile is essentially supported in [-c0, c0] with tails below the 5%
-    window bound; a compact-bump core is admissible but its spectrum decays too
-    slowly for the desk-scale reflection cutoffs, so the default core is the
-    (numerically compactly supported) Gaussian of width 0.475 (c0 + 0.2).
+    The profile is essentially supported in [-c0, c0] (c0 of ``params``) with
+    tails below the 5% window bound; a compact-bump core is admissible but its
+    spectrum decays too slowly for the desk-scale reflection cutoffs, so the
+    default core is the (numerically compactly supported) Gaussian of width
+    0.475 (c0 + 0.2).
     """
-    c0 = float(support[1])
-    if abs(support[0] + c0) > 1e-12 or not 0.0 < c0 < 1.0 / 3.0:
-        raise CuspError(f"support must be [-c0, c0] with 0 < c0 < 1/3, got {support}")
-    lam = params.lam
+    c0, lam = params.c0, params.lam
     if n_points is None or z_max is None:
         n_auto, zmax_auto = symbol_grid(params)
         n_points = n_points or n_auto
@@ -496,7 +494,7 @@ class CuspEvaluator:
         self.params = params
         self.n = int(n)
         self.second_deriv = second_deriv
-        self.symbol = symbol if symbol is not None else make_symbol((-params.c0, params.c0), params)
+        self.symbol = symbol if symbol is not None else make_symbol(params)
         h, a, lam = params.h, params.a, params.lam
         if x is None:
             x = np.linspace(0.0, 2.0 * a, n_x)
@@ -620,6 +618,12 @@ class CuspEvaluator:
                     values[j, i : i + m] = block_powers(block, wy, r)
         return values, self._y.offsets, center
 
+    def initial_regions(self, r_list) -> list[dict]:
+        """Per r of ``r_list`` the x-region split (:func:`~convexwave.normlab.region_split`) of this
+        cusp's t = 0 slice, from its norm-only form."""
+        powers = self.field_values(0.0, r_list=r_list)[0]
+        return [region_split(p, self.x, r, self.params) for p, r in zip(powers, r_list)]
+
     def field(self, t: float, y_center: float | None = None) -> WaveField:
         vals, offsets, center = self.field_values(t, y_center)
         return WaveField(values=vals, x=self.x, y=center + offsets, h=self.params.h, t=t,
@@ -668,7 +672,7 @@ class TraceEvaluator:
         if sign not in (+1, -1):
             raise CuspError("sign must be +1 or -1")
         self.params, self.n, self.sign = params, int(n), sign
-        self.symbol = symbol if symbol is not None else make_symbol((-params.c0, params.c0), params)
+        self.symbol = symbol if symbol is not None else make_symbol(params)
         self.eta = np.linspace(*_WINDOW.support, n_eta)
         self._y = _YAssembly(self.eta, params.h, n_fft)
 
@@ -756,7 +760,7 @@ def boundary_residual(n: int, params: SemiclassicalParams, *,
     if n >= params.n_reflections:
         raise CuspError(f"need n < N = {params.n_reflections}")
     if symbol is None:
-        symbol = make_symbol((-params.c0, params.c0), params)
+        symbol = make_symbol(params)
     if float(np.abs(symbol.values).max(initial=0.0)) == 0.0:
         return 0.0
     a = params.a
@@ -778,7 +782,7 @@ def dirichlet_residual(params: SemiclassicalParams) -> dict:
     L2 of the windows 0..N-1 (listed in ``windows``); ``edges`` gives the L2
     and the number of kept times of the one-trace windows -1 and N.
     """
-    symbol = make_symbol((-params.c0, params.c0), params)
+    symbol = make_symbol(params)
     a = params.a
     root = math.sqrt((1.0 + a) * a)
     big_n = params.n_reflections
@@ -827,12 +831,11 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
     time; ``l2_initial``, the L^2 norm of U_h(0), from the same slice with
     r = 2 added; ``third_cusp_fraction``, per r the norm of the cusp below a
     window pair over that of the pair's upper cusp at its apex (None when
-    N < 2); and ``region_norms``, per r the x-region split
-    (:data:`~convexwave.normlab.REGION_SPEC`, :func:`~convexwave.normlab.region_split`)
-    of the t = 0 slice of u^0 alone, whose contraction the walk's first pair
-    slice reuses.
+    N < 2); and ``region_norms``, per r the x-region split of the t = 0 slice
+    of u^0 alone (:meth:`CuspEvaluator.initial_regions`), whose contraction the
+    walk's first pair slice reuses.
     """
-    a, c0 = params.a, params.c0
+    a = params.a
     root = math.sqrt((1.0 + a) * a)
     period = 4.0 * root
     big_n = params.n_reflections
@@ -840,7 +843,7 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
     times = np.linspace(0.0, 1.0, n_t)
     windows = np.clip(np.floor(times / period), 0, big_n).astype(int)
 
-    symbol = make_symbol((-c0, c0), params)
+    symbol = make_symbol(params)
     k_chk = big_n // 2 if big_n >= 2 else None  # the check needs cusps k_chk - 1 >= 0 and k_chk
     third = None
     inner = np.empty((len(r_list), n_t))
@@ -850,8 +853,7 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
     def norms(powers, rs=r_list):
         return [rows_norm(p, wx, r) for p, r in zip(powers, rs)]
 
-    initial = hi.field_values(0.0, r_list=r_list)[0]
-    regions = [region_split(p, hi.x, REGION_SPEC, r, params) for p, r in zip(initial, r_list)]
+    regions = hi.initial_regions(r_list)
     for k in range(windows[-1] + 1):
         lo = hi  # frees evaluator k - 1 before k + 1 is built
         hi = (CuspEvaluator(params, k + 1, symbol=symbol, times=times[(windows == k) | (windows == k + 1)])

@@ -54,13 +54,6 @@ class FrequencyWindow:
     def support(self) -> tuple[float, float]:
         return (self.center - self.outer_halfwidth, self.center + self.outer_halfwidth)
 
-    def contains_support_of(self, other: "FrequencyWindow") -> bool:
-        """True when this window equals 1 on the support of ``other``."""
-        return (
-            self.center - self.inner_halfwidth <= other.center - other.outer_halfwidth
-            and other.center + other.outer_halfwidth <= self.center + self.inner_halfwidth
-        )
-
 
 @dataclass(frozen=True)
 class TransverseGrid:

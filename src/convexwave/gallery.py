@@ -236,13 +236,12 @@ def _screen(bounds: np.ndarray, accumulate, allowance: float) -> tuple[np.ndarra
     return keep, float(running[n_drop - 1]) if n_drop else 0.0
 
 
-def gallery_mode(spec: GalleryModeSpec, x: np.ndarray | None = None) -> WaveField:
-    """Sample the mode u(x, y): windowed spectrum times Airy factor, inverse FFT.
+def gallery_mode(spec: GalleryModeSpec) -> WaveField:
+    """Sample the mode u(x, y) on :func:`default_x_grid`: windowed spectrum times Airy factor, inverse FFT.
 
-    The x-grid must reach past the Airy turning point (X >= 3 omega_k h^{2/3});
-    more than 1% of the L2 mass beyond 0.9 X is an error.
+    More than 1% of the L2 mass beyond 0.9 X is an error.
     """
-    synth = _ModeSynthesis(spec, x)
+    synth = _ModeSynthesis(spec)
     return WaveField(values=synth(1.0), x=synth.x, y=spec.grid.y, h=spec.h, t=0.0)
 
 
@@ -255,23 +254,21 @@ def evolve(spec: GalleryModeSpec, flow: TransverseFlow, t: float) -> WaveField:
                      h=spec.h, t=t)
 
 
-def norm_equivalence(k: int, h: float, envelope: np.ndarray, grid: TransverseGrid, r,
-                     windows: tuple[FrequencyWindow, FrequencyWindow, FrequencyWindow] | None = None) -> dict:
+# The sandwich windows psi1 < psi < psi2 of norm_equivalence: each equals 1 on the support of the previous.
+_SANDWICH = (
+    FrequencyWindow(1.0, 0.045, 0.09),
+    FrequencyWindow(1.0, 0.1, 0.2),
+    FrequencyWindow(1.0, 0.25, 0.35),
+)
+
+
+def norm_equivalence(k: int, h: float, envelope: np.ndarray, grid: TransverseGrid, r) -> dict:
     """Sandwich ratios of the h^{-2/(3r)}-normalized mode norm between envelope norms.
 
-    With nested windows psi1 < psi < psi2 (each equal to 1 on the support of
-    the previous), returns middle/left and right/middle; both stay in an
-    h-independent band.
+    With the nested windows psi1 < psi < psi2 of ``_SANDWICH``, returns
+    middle/left and right/middle; both stay in an h-independent band.
     """
-    if windows is None:
-        windows = (
-            FrequencyWindow(1.0, 0.045, 0.09),
-            FrequencyWindow(1.0, 0.1, 0.2),
-            FrequencyWindow(1.0, 0.25, 0.35),
-        )
-    psi1, psi, psi2 = windows
-    if not (psi.contains_support_of(psi1) and psi2.contains_support_of(psi)):
-        raise GalleryError("windows must nest: psi = 1 on supp psi1 and psi2 = 1 on supp psi")
+    psi1, psi, psi2 = _SANDWICH
     spectrum = grid.fft(envelope)
     if float(np.abs(spectrum).max(initial=0.0)) == 0.0:
         raise GalleryError("zero envelope: ratios undefined")

@@ -210,52 +210,29 @@ def fit_powerlaw_2d(samples) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class NormRegionSpec:
-    """Region boundaries M h^{2/3} and A measured from the caustic fold x = a.
-
-    In the caustic-centered variable a - x the regions are |a-x| <= M h^{2/3}
-    (the fold band), M h^{2/3} < a-x <= A (the oscillatory shelf) and the far
-    side x beyond the fold.  Region three starts at max(A (1+outer_margin),
-    a + M h^{2/3}); with margin 0 the three regions partition the half-line
-    and the r-th powers add exactly.
-    """
-
-    M: float = 2.0
-    A: float | None = None
-    outer_margin: float = 0.0
-
-    def __post_init__(self):
-        if self.M < 2.0:
-            raise ValueError(f"M must be >= 2, got {self.M}")
-
-    def boundaries(self, params: SemiclassicalParams) -> tuple[float, float]:
-        a_cap = self.A if self.A is not None else params.a
-        if a_cap > params.a * (1 + 1e-12):
-            raise ValueError(f"A = {a_cap} exceeds a = {params.a}")
-        band = self.M * params.h ** (2.0 / 3.0)
-        lo = params.a - band
-        hi = max(a_cap * (1.0 + self.outer_margin), params.a + band)
-        return (lo, hi)
+# The x-regions that the cusp command reports for the t = 0 slice of u^0, measured
+# from the caustic fold x = a: the shelf x < a - M h^{2/3}, the fold band up to
+# max(a (1 + margin), a + M h^{2/3}), and the far side beyond it.  The three
+# regions partition the grid rows, so their r-th powers add up to the total.
+REGION_M = 2.0
+REGION_OUTER_MARGIN = 0.2
 
 
-# The x-regions that the cusp command reports for the t = 0 slice of u^0.
-REGION_SPEC = NormRegionSpec(M=2.0, outer_margin=0.2)
-
-
-def region_norms(field: WaveField, spec: NormRegionSpec, r, params: SemiclassicalParams) -> dict:
+def region_norms(field: WaveField, r, params: SemiclassicalParams) -> dict:
     """L^r norms over the shelf / fold-band / far-side x-regions of a cusp field (see :func:`region_split`)."""
-    return region_split(row_powers(field.values, trapezoid_weights(field.y), r), field.x, spec, r, params)
+    return region_split(row_powers(field.values, trapezoid_weights(field.y), r), field.x, r, params)
 
 
-def region_split(rows: np.ndarray, x: np.ndarray, spec: NormRegionSpec, r, params: SemiclassicalParams) -> dict:
+def region_split(rows: np.ndarray, x: np.ndarray, r, params: SemiclassicalParams) -> dict:
     """L^r norms over the shelf / fold-band / far-side x-regions, from the row powers ``rows`` on x.
 
     The regional powers partition the full-grid quadrature sum exactly, so the
     r-th powers add up to the total without boundary double counting.  Every
     region must hold a grid row, for every r.
     """
-    lo, hi = spec.boundaries(params)
+    band = REGION_M * params.h ** (2.0 / 3.0)
+    lo = params.a - band
+    hi = max(params.a * (1.0 + REGION_OUTER_MARGIN), params.a + band)
     masks = {
         "shelf": x < lo,
         "fold": (x >= lo) & (x <= hi),
@@ -283,9 +260,10 @@ class NormScanResult:
 
 
 def spans_fit(samples) -> bool:
-    """Whether (h, value) samples carry an exponent fit: at least 4, spanning at least 1.5 decades of h."""
-    hs = [h for h, _ in samples]
-    return len(samples) >= 4 and math.log10(max(hs) / min(hs)) >= 1.5
+    """Whether (x, value) samples carry an exponent fit: at least 4, spanning at least 1.5 decades of x
+    (h for the verdict and gallery fits, lambda for the dispersion fits)."""
+    xs = [x for x, _ in samples]
+    return len(samples) >= 4 and math.log10(max(xs) / min(xs)) >= 1.5
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FrequencyWindow
-from .normlab import fit_powerlaw_2d
+from .normlab import fit_powerlaw_2d, spans_fit
 from .params import SemiclassicalParams
 
 
@@ -324,8 +324,7 @@ class DispersionCurve:
 
     def fit(self, mu_min: float | None = None) -> "DispersionCurve":
         pts = [s for s in self.samples if (mu_min is None or s.mu > mu_min)]
-        all_lams = [s.lam for s in self.samples]
-        if len(pts) < 4 or math.log10(max(all_lams) / min(all_lams)) < 1.5:
+        if len(pts) < 4 or not spans_fit([(s.lam, s.gamma) for s in self.samples]):
             self.meta["fit_note"] = "lambda span < 1.5 decades or too few points; no fit reported"
             return self
         res = fit_powerlaw_2d([(s.lam, s.h, s.gamma) for s in pts])

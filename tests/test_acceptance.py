@@ -253,7 +253,7 @@ def test_criterion8_oracle_equivalences(rng):
 
     params = make_params(5e-3, 0.1, 0.25)
     eta = 1.05
-    sym = make_symbol((-0.25, 0.25), params)
+    sym = make_symbol(params)
     spectral = iterate_symbol(sym, 1, eta, params)
     kern = ReflectionKernel()
     omega = eta * params.lam
@@ -272,7 +272,7 @@ def test_criterion8_oracle_equivalences(rng):
     # (b) Airy-reduction field vs brute 2-D oscillatory quadrature
     params = make_params(0.01, 0.1, 0.25)
     a, h = params.a, params.h
-    sym = make_symbol((-0.25, 0.25), params, profile=lambda z: np.exp(-(z**2) / (2 * 0.18**2)))
+    sym = make_symbol(params, profile=lambda z: np.exp(-(z**2) / (2 * 0.18**2)))
     window = FrequencyWindow()
     x_pts = np.linspace(0.0, 1.6 * a, 9)
     from convexwave.cusp import CuspEvaluator

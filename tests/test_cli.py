@@ -8,7 +8,7 @@ import pytest
 import convexwave.cli as cli
 from convexwave.cli import main
 from convexwave.cusp import CuspEvaluator, cusp_field
-from convexwave.normlab import NormRegionSpec, region_norms
+from convexwave.normlab import region_norms
 from convexwave.params import make_params
 
 
@@ -249,6 +249,26 @@ def test_bad_input_is_usage_error_before_output(tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
+def test_numeric_failure_before_any_artifact_leaves_no_directory(tmp_path, capsys):
+    # one time slice with a finite q fails in lqlr_norm, after every check and before any write
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gallery": {"t_steps": 1, "h_steps": 1}}))
+    out = tmp_path / "g"
+    assert run(["gallery", "--config", cfg, "--out", out]) == 3
+    assert "a single time slice needs q = inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cusp_failure_after_its_residuals_keeps_them(tmp_path, monkeypatch):
+    def failing_report(*args, **kwargs):
+        raise cli.NormError("verdict failed")
+
+    monkeypatch.setattr(cli, "counterexample_report", failing_report)
+    out = tmp_path / "c"
+    assert run(["cusp", "--h-list", 2.0**-10, "--epsilon", 0.1, "--out", out]) == 3
+    assert [path.name for path in out.iterdir()] == ["boundary_residual.json"]
+
+
 def test_value_error_inside_a_computation_is_not_numeric_exit(tmp_path, monkeypatch):
     # only the library's own error types are numeric-validity failures (exit 3)
     def broken(count):
@@ -288,11 +308,13 @@ def test_cusp_region_csv_columns(tmp_path):
     assert len(lines) == 5  # three regions + header + manifest line
 
 
-@pytest.mark.parametrize("r_list", ["4,6", "4,5,6"])
+@pytest.mark.parametrize("r_list", ["4,6", "4,5,6", "3", "2,4"])
 def test_cusp_region_split_comes_from_the_verdict_walk(tmp_path, monkeypatch, r_list):
-    # the walk's evaluator 0 gives the t = 0 region split for every r asked,
-    # and one walk per h serves every r > 4: two h values build N + 1 = 2 and
-    # 3 evaluators, whatever the number of verdicts, and no separate u^0
+    # the t = 0 region split for every r asked comes from a norm-only slice of
+    # an n = 0 evaluator, and no cusp run forms a full slice.  With an r > 4
+    # that evaluator is the walk's, and one walk per h serves every r > 4: two
+    # h values build N + 1 = 2 and 3 evaluators, whatever the number of
+    # verdicts, and no separate u^0; with none it is one n = 0 evaluator per h
     built = []
     init = CuspEvaluator.__init__
 
@@ -300,13 +322,19 @@ def test_cusp_region_split_comes_from_the_verdict_walk(tmp_path, monkeypatch, r_
         init(self, params, n, **kwargs)
         built.append((params.h, n))
 
+    def no_full_slice(self, *args, **kwargs):
+        raise AssertionError("a cusp run formed a full (n_x, n_fft) slice")
+
     monkeypatch.setattr(CuspEvaluator, "__init__", counting_init)
+    monkeypatch.setattr(CuspEvaluator, "field", no_full_slice)
     out = tmp_path / "csplit"
     h_list = [2.0**-10, 2.0**-12]
     code = run(["cusp", "--h-list", ",".join(repr(h) for h in h_list), "--epsilon", 0.1,
                 "--r-list", r_list, "--t-resolution", "1", "--out", out])
     assert code == 0
-    assert sorted(built) == [(2.0**-12, 0), (2.0**-12, 1), (2.0**-12, 2), (2.0**-10, 0), (2.0**-10, 1)]
+    r_values = [float(x) for x in r_list.split(",")]
+    walked = [(2.0**-12, 0), (2.0**-12, 1), (2.0**-12, 2), (2.0**-10, 0), (2.0**-10, 1)]
+    assert sorted(built) == (walked if max(r_values) > 4 else [(2.0**-12, 0), (2.0**-10, 0)])
     monkeypatch.undo()
 
     lines = (out / "region_norms.csv").read_text().strip().splitlines()[2:]
@@ -314,8 +342,8 @@ def test_cusp_region_split_comes_from_the_verdict_walk(tmp_path, monkeypatch, r_
     for h in h_list:
         params = make_params(h, 0.1, 0.25)
         fld = cusp_field(0, 0.0, params)
-        for r in (float(x) for x in r_list.split(",")):
-            for region, value in region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), r, params).items():
+        for r in r_values:
+            for region, value in region_norms(fld, r, params).items():
                 expected.append(",".join(cli._fmt(v) for v in (h, 0, 0.0, r, region, value)))
     assert lines == expected
 

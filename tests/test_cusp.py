@@ -94,7 +94,7 @@ def params_mid():
 
 @pytest.fixture(scope="module")
 def symbol_mid(params_mid):
-    return make_symbol((-0.25, 0.25), params_mid)
+    return make_symbol(params_mid)
 
 
 def test_kernel_f_jet():
@@ -198,13 +198,13 @@ def test_make_symbol_invariants(symbol_mid):
 
 
 def test_make_symbol_zero_profile(params_mid):
-    sym = make_symbol((-0.25, 0.25), params_mid, profile=lambda z: 0.0 * z)
+    sym = make_symbol(params_mid, profile=lambda z: 0.0 * z)
     assert np.abs(sym.values).max() == 0.0
 
 
 def test_make_symbol_rejects_coarse_grid(params_mid):
     with pytest.raises(CuspError, match="coarse"):
-        make_symbol((-0.25, 0.25), params_mid, n_points=256, z_max=6.0)
+        make_symbol(params_mid, n_points=256, z_max=6.0)
 
 
 def test_symbol_spectrum_tail_negligible(symbol_mid):
@@ -236,7 +236,7 @@ def test_iterate_matches_brute_convolution_oracle():
     # coarse parameters (lam ~ 5.6 keeps eta lam / n >= 4 for n = 1)
     params = make_params(5e-3, 0.1, 0.25)
     eta = 1.05
-    sym = make_symbol((-0.25, 0.25), params)
+    sym = make_symbol(params)
     spectral = iterate_symbol(sym, 1, eta, params)
     kern = ReflectionKernel()
     omega = eta * params.lam
@@ -263,7 +263,7 @@ def test_iterate_matches_brute_convolution_oracle():
 
 
 def test_zero_symbol_gives_zero_field(params_mid):
-    sym = make_symbol((-0.25, 0.25), params_mid, profile=lambda z: 0.0 * z)
+    sym = make_symbol(params_mid, profile=lambda z: 0.0 * z)
     fld = CuspEvaluator(params_mid, 0, symbol=sym).field(0.0)
     assert np.abs(fld.values).max() == 0.0
 
@@ -274,8 +274,7 @@ def test_field_airy_reduction_vs_brute_quadrature():
     # keeps the mollified tail inside the support window at this tiny lambda)
     params = make_params(0.01, 0.1, 0.25)
     a, h = params.a, params.h
-    sym = make_symbol((-0.25, 0.25), params,
-                      profile=lambda z: np.exp(-(z**2) / (2.0 * 0.18**2)))
+    sym = make_symbol(params, profile=lambda z: np.exp(-(z**2) / (2.0 * 0.18**2)))
     window = FrequencyWindow()
     x_pts = np.linspace(0.0, 1.6 * a, 9)
     ev = CuspEvaluator(params, 0, symbol=sym, x=x_pts)
@@ -365,7 +364,7 @@ def test_field_x_localization():
 def test_field_time_disjointness():
     # at t in I_k only the k-th cusp contributes (lambda ~ 90 >= 50 here)
     params = make_params(2.0**-20, 0.1, 0.25)
-    symbol = make_symbol((-0.25, 0.25), params)
+    symbol = make_symbol(params)
     root = math.sqrt((1.0 + params.a) * params.a)
     k = 2
     t = 4.0 * k * root
@@ -396,7 +395,7 @@ def test_field_essential_time_support(params_mid, symbol_mid):
 
 
 def test_trace_zero_symbol(params_mid):
-    sym = make_symbol((-0.25, 0.25), params_mid, profile=lambda z: 0.0 * z)
+    sym = make_symbol(params_mid, profile=lambda z: 0.0 * z)
     sig = trace(1, -1, 6.0 * math.sqrt((1 + params_mid.a) * params_mid.a), params_mid, symbol=sym)
     assert np.abs(sig.values).max() == 0.0
 
@@ -447,7 +446,7 @@ def test_field_at_boundary_equals_trace_sum(params_mid, symbol_mid):
 
 
 def test_boundary_residual_zero_symbol(params_mid):
-    sym = make_symbol((-0.25, 0.25), params_mid, profile=lambda z: 0.0 * z)
+    sym = make_symbol(params_mid, profile=lambda z: 0.0 * z)
     assert boundary_residual(0, params_mid, symbol=sym) == 0.0
 
 
@@ -512,7 +511,7 @@ def test_dirichlet_residual_sums_every_trace_with_one_weighting():
     # pair sums, edge traces and the scale are all plain sum_t sum_y |.|^2 dy
     # over 16 times per window; the edge traces carry no extra time step
     params = make_params(2.0**-20, 0.1, 0.25)
-    symbol = make_symbol((-params.c0, params.c0), params)
+    symbol = make_symbol(params)
     root = math.sqrt((1.0 + params.a) * params.a)
     big_n = params.n_reflections
     steps = np.linspace(-1.2, 1.2, 16)
@@ -548,7 +547,7 @@ def test_dirichlet_residual_sums_every_trace_with_one_weighting():
 
 
 def test_wave_residual_zero_symbol(params_mid):
-    sym = make_symbol((-0.25, 0.25), params_mid, profile=lambda z: 0.0 * z)
+    sym = make_symbol(params_mid, profile=lambda z: 0.0 * z)
     fld = wave_residual(0, 0.0, params_mid, symbol=sym)
     assert np.abs(fld.values).max() == 0.0
 
@@ -558,7 +557,7 @@ def test_wave_residual_to_field_ratio_trend():
     ratios = []
     for e in (12, 16, 20):
         params = make_params(2.0**-e, 0.1, 0.25)
-        sym = make_symbol((-0.25, 0.25), params)
+        sym = make_symbol(params)
         res = wave_residual(0, 0.0, params, symbol=sym)
         fld = CuspEvaluator(params, 0, symbol=sym).field(0.0)
         ratios.append((params.h, lr_norm(res, 2) / lr_norm(fld, 2)))
@@ -614,7 +613,7 @@ def _uh_mixed_norms_by_time(params, q, r, samples_per_sqrt_a):
     big_n = params.n_reflections
     n_t = int(math.ceil(samples_per_sqrt_a / root)) + 1
     times = np.linspace(0.0, 1.0, n_t)
-    symbol = make_symbol((-params.c0, params.c0), params)
+    symbol = make_symbol(params)
     evaluators = {}
 
     def get_ev(k):
@@ -809,7 +808,7 @@ def test_field_and_trace_xi_cuts_are_deliberate():
     # n > 0 at the reflection cutoff 2c max(eta) lam (the width of the shared
     # Airy factor); the trace keeps the wider 1e-14 cut, untrimmed
     params = make_params(2.0**-20, 0.1, 0.25)
-    symbol = make_symbol((-params.c0, params.c0), params)
+    symbol = make_symbol(params)
     field_xi = CuspEvaluator(params, 0, n_x=40, symbol=symbol).xi
     trace_xi = TraceEvaluator(params, 0, -1, symbol=symbol).xi
     assert np.all(np.diff(field_xi) > 0) and np.all(np.diff(trace_xi) > 0)
@@ -817,7 +816,7 @@ def test_field_and_trace_xi_cuts_are_deliberate():
     np.testing.assert_array_equal(trace_xi[(trace_xi >= field_xi[0]) & (trace_xi <= field_xi[-1])], field_xi)
 
     params = make_params(2.0**-18, 0.1, 0.25)
-    symbol = make_symbol((-params.c0, params.c0), params)
+    symbol = make_symbol(params)
     cutoff = 2.0 * ReflectionKernel.chi_flat * FrequencyWindow().support[1] * params.lam
     assert cutoff == pytest.approx(34.6, abs=0.05)
     field_xi = CuspEvaluator(params, 1, n_x=40, symbol=symbol).xi
@@ -831,7 +830,7 @@ def test_keep_tol_cut_drops_at_most_n_z_tol(e):
     # beyond the cut is at most _KEEP_TOL of the peak, so at most n_z _KEEP_TOL
     # of the |rhohat| mass goes, far below 1e-3 even at symbol_grid's 2^18 cap
     params = make_params(2.0**-e, 0.1, 0.25)
-    symbol = make_symbol((-params.c0, params.c0), params)
+    symbol = make_symbol(params)
     xi = _spectral_setup(params, 0, symbol, np.ones(1), _KEEP_TOL)[0]
     mod = np.abs(symbol.spectrum)
     outside = np.abs(symbol.xi) > np.abs(xi).max()
@@ -1205,7 +1204,7 @@ def test_window_integral_matches_flat_decomposition():
     # inside one measurement window the L^q time integral of |u^k|_r matches
     # |I_k| times the center value within 10% (the window-decomposition shape)
     params = make_params(2.0**-16, 0.1, 0.25)
-    sym = make_symbol((-0.25, 0.25), params)
+    sym = make_symbol(params)
     root = math.sqrt((1.0 + params.a) * params.a)
     k, q, r = 1, 6.0, 6.0
     ev = CuspEvaluator(params, k, symbol=sym)
@@ -1220,7 +1219,7 @@ def test_window_integral_matches_flat_decomposition():
 def test_field_grid_refinement_stability():
     # doubling every resolution knob moves reported norms by <= 0.5%
     params = make_params(2.0**-16, 0.1, 0.25)
-    sym = make_symbol((-0.25, 0.25), params)
+    sym = make_symbol(params)
     coarse = CuspEvaluator(params, 0, symbol=sym).field(0.0)
     fine = CuspEvaluator(params, 0, symbol=sym, n_x=640, n_eta=320,
                          n_eta_dense=2048, n_fft=8192).field(0.0)

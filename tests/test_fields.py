@@ -37,15 +37,6 @@ def test_window_excludes_zero():
         FrequencyWindow(0.15, 0.1, 0.2)
 
 
-def test_window_nesting_predicate():
-    psi1 = FrequencyWindow(1.0, 0.045, 0.09)
-    psi = FrequencyWindow(1.0, 0.1, 0.2)
-    psi2 = FrequencyWindow(1.0, 0.25, 0.35)
-    assert psi.contains_support_of(psi1)
-    assert psi2.contains_support_of(psi)
-    assert not psi1.contains_support_of(psi)
-
-
 def test_grid_fft_parseval_and_roundtrip(rng):
     h = 1e-2
     grid = make_transverse_grid(h, -1.0, 1.0, eta_max=1.3)

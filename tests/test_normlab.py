@@ -9,7 +9,6 @@ import convexwave.normlab as cw_normlab
 from convexwave.fields import WaveField, trapezoid_weights
 from convexwave.normlab import (
     NormError,
-    NormRegionSpec,
     counterexample_report,
     fit_exponent,
     fit_powerlaw_2d,
@@ -158,40 +157,35 @@ def cusp_setup():
 
 
 def test_region_norms_additivity_exact(cusp_setup):
+    # the three masks partition the grid rows whatever the far side's margin
     params, fld = cusp_setup
-    spec = NormRegionSpec(M=2.0, outer_margin=0.0)
     for r in (2, 6):
-        regs = region_norms(fld, spec, r, params)
+        regs = region_norms(fld, r, params)
         total = lr_norm(fld, r)
         assert sum(v**r for v in regs.values()) == pytest.approx(total**r, rel=1e-12)
 
 
 def test_region_norms_fold_dominates_at_r6(cusp_setup):
     params, fld = cusp_setup
-    regs = region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), 6, params)
+    regs = region_norms(fld, 6, params)
     assert regs["fold"] > regs["shelf"]
 
 
 def test_region_norms_far_side_small():
     params = make_params(2.0**-22, 0.1, 0.25)
     fld = cusp_field(0, 0.0, params)
-    spec = NormRegionSpec(M=2.0, outer_margin=0.2)
     for r in (2, 6):
-        regs = region_norms(fld, spec, r, params)
+        regs = region_norms(fld, r, params)
         assert regs["outer"] <= 1e-3 * lr_norm(fld, r)
 
 
 def test_region_norms_validation(cusp_setup):
     params, fld = cusp_setup
-    with pytest.raises(ValueError, match="M must be >= 2"):
-        NormRegionSpec(M=1.0)
-    with pytest.raises(ValueError, match="exceeds"):
-        NormRegionSpec(A=params.a * 2.0).boundaries(params)
     # region_norms checks r through the shared row reduction, before any array work
     with pytest.raises(NormError, match="r must be >= 1"):
-        region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), 0.5, params)
+        region_norms(fld, 0.5, params)
     with pytest.raises(NormError, match="r must be >= 1"):
-        region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), math.nan, params)
+        region_norms(fld, math.nan, params)
 
 
 def test_region_norms_rejects_non_finite_samples(cusp_setup):
@@ -204,7 +198,7 @@ def test_region_norms_rejects_non_finite_samples(cusp_setup):
         with pytest.raises(NormError, match="non-finite field samples"):
             lr_norm(broken, r)
         with pytest.raises(NormError, match="non-finite field samples"):
-            region_norms(broken, NormRegionSpec(M=2.0, outer_margin=0.2), r, params)
+            region_norms(broken, r, params)
 
 
 def test_region_norms_rejects_an_empty_region_at_every_r(cusp_setup):
@@ -215,7 +209,7 @@ def test_region_norms_rejects_an_empty_region_at_every_r(cusp_setup):
                     h=params.h, t=0.0)
     for r in (2, 6, math.inf):
         with pytest.raises(NormError, match="region 'fold' is empty on the grid"):
-            region_norms(fld, NormRegionSpec(M=2.0, outer_margin=0.2), r, params)
+            region_norms(fld, r, params)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 6, 8, 2.5, math.inf])

@@ -10,6 +10,7 @@ from convexwave.fields import FrequencyWindow
 from convexwave import oscillatory
 from convexwave.oscillatory import (
     DispersionCurve,
+    DispersionSample,
     OscillatoryProblem,
     QuadratureError,
     StationaryPhaseError,
@@ -210,6 +211,17 @@ def test_fit_requires_lambda_span():
     curve = DispersionCurve(flow="wave", d=2, samples=[])
     curve.fit()
     assert "fit_note" in curve.meta
+
+
+def test_fit_counts_the_mu_cut_points_but_spans_every_lambda():
+    # all lambda span 1.9 decades; the four points past the mu cut span only 0.9 and still fit
+    lams = [10.0, 100.0, 200.0, 400.0, 800.0]
+    samples = [DispersionSample(lam=lam, h=1e-2, mu=lam / 10.0, gamma=lam**-0.5, z_at_max=0.0) for lam in lams]
+    curve = DispersionCurve(flow="wave", d=2, samples=samples).fit(mu_min=5.0)
+    assert "fit_note" not in curve.meta and curve.meta["fit_points"] == 4
+    assert curve.fitted_lambda_exponent == pytest.approx(-0.5, abs=1e-12)
+    short = DispersionCurve(flow="wave", d=2, samples=samples).fit(mu_min=15.0)  # three points left
+    assert "fit_note" in short.meta and short.fitted_lambda_exponent is None
 
 
 def test_quad_panel_budget_exhaustion():

@@ -33,8 +33,9 @@ The outputs are:
 * every subcommand through ``cli.main``, each run's exit code, artifacts and
   ``manifest.json`` without its timings: ``airy --count 10``, the README
   ``billiard`` run, ``gallery`` over 2^-8 ... 2^-13 in 6 steps (enough for its
-  exponent fit), ``dispersion --flow wave`` at 2 h with lambda from 30 to 3000
-  in 4 steps, ``cusp --r-list 3,6`` and ``cusp --r 3`` at 2^-10 and 2^-12
+  exponent fit), ``dispersion --flow wave`` and ``dispersion --flow
+  schrodinger`` at 2 h with lambda from 30 to 3000 in 4 steps (the two fits of
+  ``DispersionCurve.fit``, with and without a mu cut), ``cusp --r-list 3,6`` and ``cusp --r 3`` at 2^-10 and 2^-12
   (t-resolution 3), a ``gallery`` run from a config file that sets the
   config-only ``h_list`` and ``t_steps`` and whose ``--r`` flag overrides the
   file's ``r``, and ``report`` on the first cusp run.
@@ -231,6 +232,9 @@ def cli(out: dict) -> None:
             "gallery": ["gallery", "--h-max", repr(2.0**-8), "--h-min", repr(2.0**-13), "--h-steps", "6"],
             "dispersion": ["dispersion", "--flow", "wave", "--h-min", "1e-3", "--h-max", "1e-2", "--h-steps", "2",
                            "--lambda-min", "30", "--lambda-max", "3000", "--lambda-steps", "4"],
+            "dispersion schrodinger": ["dispersion", "--flow", "schrodinger", "--h-min", "1e-3", "--h-max", "1e-2",
+                                       "--h-steps", "2", "--lambda-min", "30", "--lambda-max", "3000",
+                                       "--lambda-steps", "4"],
             "cusp r-list 3,6": ["cusp", "--epsilon", "0.1", "--r-list", "3,6", "--h-list", h_list,
                                 "--t-resolution", "3"],
             "cusp r 3": ["cusp", "--epsilon", "0.1", "--r", "3", "--h-list", h_list, "--t-resolution", "3"],
