@@ -538,8 +538,7 @@ class CuspEvaluator:
                 i = self._planned.index(t)
                 batch, self._planned = self._planned[i : i + _BATCH], self._planned[i + _BATCH :]
                 self._held = None  # the spent block goes before the next one is contracted
-            a = self.params.a
-            w = np.asarray(batch) / (2.0 * math.sqrt((1.0 + a) * a)) - 2.0 * self.n
+            w = np.asarray(batch) / self.params.time_unit - 2.0 * self.n
             block = _contract(self._airy, self._weights, self.xi, w)
             if not planned:
                 return block
@@ -697,9 +696,7 @@ class TraceEvaluator:
         return t * math.sqrt(1.0 + a) - ((4.0 * self.n - 2.0 * self.sign) / 3.0) * a**1.5
 
     def signal(self, t: float, y_center: float | None = None) -> TraceSignal:
-        a = self.params.a
-        root = math.sqrt((1.0 + a) * a)
-        w = t / (2.0 * root) - 2.0 * self.n
+        w = t / self.params.time_unit - 2.0 * self.n
         if abs(w) > 3.0:
             raise CuspError(f"trace argument z - 2n = {w:.2f} outside [-3, 3]")
         natural = self.y_center(t)
@@ -763,9 +760,7 @@ def boundary_residual(n: int, params: SemiclassicalParams, *,
         symbol = make_symbol(params)
     if float(np.abs(symbol.values).max(initial=0.0)) == 0.0:
         return 0.0
-    a = params.a
-    root = math.sqrt((1.0 + a) * a)
-    t_centers = (2.0 * n + 1.0 + np.linspace(-1.4, 1.4, 24)) * 2.0 * root
+    t_centers = (2.0 * n + 1.0 + np.linspace(-1.4, 1.4, 24)) * params.time_unit
     num, den = _pair_sums(params, n, t_centers, symbol)
     den = math.sqrt(den)
     if den < 1e-300:
@@ -783,14 +778,12 @@ def dirichlet_residual(params: SemiclassicalParams) -> dict:
     and the number of kept times of the one-trace windows -1 and N.
     """
     symbol = make_symbol(params)
-    a = params.a
-    root = math.sqrt((1.0 + a) * a)
     big_n = params.n_reflections
     total_sq = 0.0
     scale_sq = 0.0
     per_window, edges = [], []
     for n in range(-1, big_n + 1):
-        t_grid = (2.0 * n + 1.0 + np.linspace(-1.2, 1.2, 16)) * 2.0 * root
+        t_grid = (2.0 * n + 1.0 + np.linspace(-1.2, 1.2, 16)) * params.time_unit
         t_grid = t_grid[(t_grid >= 0.0) & (t_grid <= 1.0)]
         w_sq, s_sq = _pair_sums(params, n, t_grid, symbol)
         total_sq += w_sq
@@ -835,11 +828,10 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
     of u^0 alone (:meth:`CuspEvaluator.initial_regions`), whose contraction the
     walk's first pair slice reuses.
     """
-    a = params.a
-    root = math.sqrt((1.0 + a) * a)
-    period = 4.0 * root
+    unit = params.time_unit
+    period = 2.0 * unit
     big_n = params.n_reflections
-    n_t = int(math.ceil(samples_per_sqrt_a / root)) + 1
+    n_t = int(math.ceil(2.0 * samples_per_sqrt_a / unit)) + 1
     times = np.linspace(0.0, 1.0, n_t)
     windows = np.clip(np.floor(times / period), 0, big_n).astype(int)
 
@@ -865,7 +857,7 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
             if i == 0:
                 l2_initial = got[-1]
         if k + 1 == k_chk:  # both cusps of the check are alive: k_chk - 1 (lo) and k_chk (hi)
-            t_chk = (4.0 * k_chk + 2.0) * root  # gap apex between k_chk and k_chk + 1
+            t_chk = (2.0 * k_chk + 1.0) * unit  # gap apex between k_chk and k_chk + 1
             powers, _, center = hi.field_values(t_chk, r_list=r_list)
             own = norms(powers)
             below = norms(lo.field_values(t_chk, center, r_list=r_list)[0])

@@ -74,6 +74,11 @@ class SemiclassicalParams:
     def sqrt_a(self) -> float:
         return math.sqrt(self.a)
 
+    @property
+    def time_unit(self) -> float:
+        """2 sqrt(a (1+a)): the time of one unit of the cusp symbol argument; a reflection takes two."""
+        return 2.0 * math.sqrt((1.0 + self.a) * self.a)
+
 
 def make_params(h: float, epsilon: float, c0: float = 0.2) -> SemiclassicalParams:
     """Derive the full parameter set from (h, epsilon, c0).

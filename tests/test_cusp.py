@@ -305,7 +305,7 @@ def _field_values_oracle(ev, t, y_center=None):
     """The slice assembly as first written: row-wise cubic eta interpolation,
     fft of the conjugate, fftshift, then carrier and step."""
     a, h = ev.params.a, ev.params.h
-    w = t / (2.0 * math.sqrt((1.0 + a) * a)) - 2.0 * ev.n
+    w = t / ev.params.time_unit - 2.0 * ev.n
     natural = t * math.sqrt(1.0 + a) - (4.0 / 3.0) * ev.n * a**1.5
     center = natural if y_center is None else y_center
     # S(x, eta; w): the single-cusp contraction of the Airy factor and the weights
@@ -331,7 +331,7 @@ def _field_values_oracle(ev, t, y_center=None):
 @pytest.mark.parametrize("n", [0, 1])
 def test_field_values_match_direct_assembly(n):
     params = make_params(2.0**-12, 0.1, 0.25)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     ev = CuspEvaluator(params, n, n_x=40)
     t = (4.0 * n + 0.6) * root
     natural = ev.field_values(t)[2]
@@ -365,7 +365,7 @@ def test_field_time_disjointness():
     # at t in I_k only the k-th cusp contributes (lambda ~ 90 >= 50 here)
     params = make_params(2.0**-20, 0.1, 0.25)
     symbol = make_symbol(params)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     k = 2
     t = 4.0 * k * root
     ev_k = CuspEvaluator(params, k, symbol=symbol)
@@ -376,8 +376,7 @@ def test_field_time_disjointness():
 
 
 def test_field_essential_time_support(params_mid, symbol_mid):
-    a = params_mid.a
-    root = math.sqrt((1.0 + a) * a)
+    root = params_mid.time_unit / 2.0
     ev = CuspEvaluator(params_mid, 0, symbol=symbol_mid)
     peak = lr_norm(ev.field(0.0), 2)
     cutoff = 2.0 * root * (1.0 + params_mid.c0) * 1.1
@@ -396,7 +395,7 @@ def test_field_essential_time_support(params_mid, symbol_mid):
 
 def test_trace_zero_symbol(params_mid):
     sym = make_symbol(params_mid, profile=lambda z: 0.0 * z)
-    sig = trace(1, -1, 6.0 * math.sqrt((1 + params_mid.a) * params_mid.a), params_mid, symbol=sym)
+    sig = trace(1, -1, 3.0 * params_mid.time_unit, params_mid, symbol=sym)
     assert np.abs(sig.values).max() == 0.0
 
 
@@ -408,8 +407,7 @@ def test_trace_argument_range_guard(params_mid, symbol_mid):
 def test_trace_support_shift(params_mid, symbol_mid):
     # I_pm maps the symbol support center by -sign: measure the t-centroid of
     # the trace energy in z-units
-    a = params_mid.a
-    root = math.sqrt((1.0 + a) * a)
+    root = params_mid.time_unit / 2.0
     for sign in (+1, -1):
         ev = TraceEvaluator(params_mid, 0, sign, symbol=symbol_mid)
         zs = np.linspace(-2.2, 2.2, 45)
@@ -423,8 +421,7 @@ def test_trace_support_shift(params_mid, symbol_mid):
 
 
 def test_trace_plus_initial_cusp_lives_at_negative_times(params_mid, symbol_mid):
-    a = params_mid.a
-    root = math.sqrt((1.0 + a) * a)
+    root = params_mid.time_unit / 2.0
     ev = TraceEvaluator(params_mid, 0, +1, symbol=symbol_mid)
     t_in = -2.0 * root
     t_out = +2.0 * root
@@ -434,7 +431,7 @@ def test_trace_plus_initial_cusp_lives_at_negative_times(params_mid, symbol_mid)
 
 
 def test_field_at_boundary_equals_trace_sum(params_mid, symbol_mid):
-    root = math.sqrt((1.0 + params_mid.a) * params_mid.a)
+    root = params_mid.time_unit / 2.0
     n = 1
     t = (4.0 * n + 1.7) * root
     ev = CuspEvaluator(params_mid, n, symbol=symbol_mid, x=np.array([0.0]))
@@ -512,7 +509,7 @@ def test_dirichlet_residual_sums_every_trace_with_one_weighting():
     # over 16 times per window; the edge traces carry no extra time step
     params = make_params(2.0**-20, 0.1, 0.25)
     symbol = make_symbol(params)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     big_n = params.n_reflections
     steps = np.linspace(-1.2, 1.2, 16)
 
@@ -607,8 +604,7 @@ def _uh_mixed_norms_by_time(params, q, r, samples_per_sqrt_a):
     """The verdict loop as first streamed: one pass over the time samples with
     a lazily filled evaluator dict, eviction of passed windows and a
     third-cusp check (with a fallback after the loop) on wrapped fields."""
-    a = params.a
-    root = math.sqrt((1.0 + a) * a)
+    root = params.time_unit / 2.0
     period = 4.0 * root
     big_n = params.n_reflections
     n_t = int(math.ceil(samples_per_sqrt_a / root)) + 1
@@ -686,7 +682,7 @@ def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted, shared):
     # and the others clear the slot so that hi fills its own
     params = make_params(2.0**-e, 0.1, 0.25)
     assert k < params.n_reflections
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     lo = CuspEvaluator(params, k, n_x=40)
     if not shared:
         _HELD.entry = None
@@ -709,7 +705,7 @@ def test_reflected_cusps_share_one_airy_factor():
     # 2^-12 the n = 0 xi range is the wider 1e-13 spectral cut, so evaluator 1
     # fills its own factor and still slices exactly as a fresh one
     params = make_params(2.0**-12, 0.1, 0.25)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     ev0 = CuspEvaluator(params, 0, n_x=40)
     ev1 = CuspEvaluator(params, 1, n_x=40, symbol=ev0.symbol)
     ev2 = CuspEvaluator(params, 2, n_x=40, symbol=ev0.symbol)
@@ -909,7 +905,7 @@ def test_norm_only_slice_equals_the_full_one(e, kind):
     # out the unimodular carrier: its row powers are those of the full slice up
     # to rounding, for every r and for the row max; 40 rows end in a partial block
     params = make_params(2.0**-e, 0.1, 0.25)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     lo = CuspEvaluator(params, 0, n_x=40)
     hi = CuspEvaluator(params, 1, n_x=40, symbol=lo.symbol)
     t = 1.3 * root
@@ -1006,7 +1002,7 @@ def test_trace_signal_is_the_transform_times_carrier_and_deta():
     # the trace's one row of eta samples is transformed, then multiplied by the
     # carrier and by deta, in that order, bit for bit, in a fresh array per signal
     params = make_params(2.0**-18, 0.1, 0.25)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     t = 2.7 * 2.0 * root
     ev = cw_cusp.TraceEvaluator(params, 1, -1)
     padded = np.zeros(4096, dtype=complex)
@@ -1029,7 +1025,7 @@ def test_banded_interpolation_equals_the_dense_matrix(opts):
         assert band.shape[0] <= 16
     assert not ev._interp[~covered].any()
     rng = np.random.default_rng(7)
-    t = 0.3 * math.sqrt((1.0 + ev.params.a) * ev.params.a)
+    t = 0.3 * (ev.params.time_unit / 2.0)
     slice_rows = ev._coarse(t).transpose(2, 1, 0).reshape(-1, ev.eta.size)
     for coarse in (slice_rows, rng.normal(size=slice_rows.shape)):
         expected = coarse @ ev._interp
@@ -1077,7 +1073,7 @@ def test_batched_slices_equal_single_slices(monkeypatch, with_partner):
     # evaluator; every slice equals the unplanned one, and no more than one
     # block of at most _BATCH times is held at once
     params = make_params(2.0**-12, 0.1, 0.25)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     times = np.linspace(0.0, 4.0 * root, 12)[:-1]
     lo = CuspEvaluator(params, 0, n_x=40, times=times)
     hi = CuspEvaluator(params, 1, n_x=40, symbol=lo.symbol, times=times) if with_partner else None
@@ -1100,7 +1096,7 @@ def test_batched_slices_equal_single_slices(monkeypatch, with_partner):
 def test_held_block_is_capped_at_batch_times():
     # at 160 eta x 320 x nodes a batch of 8 times holds 6.25 MiB, whatever the window length
     params = make_params(2.0**-12, 0.1, 0.25)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     times = np.linspace(0.0, 8.0 * root, 40)
     ev = CuspEvaluator(params, 1, times=times)
     held = 0
@@ -1118,7 +1114,7 @@ def _walk_contractions(e, samples):
     planned times per evaluator (evaluator k serves windows k - 1 and k), plus
     one per cusp of the third-cusp check."""
     params = make_params(2.0**-e, 0.1, 0.25)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     big_n = params.n_reflections
     times = np.linspace(0.0, 1.0, int(math.ceil(samples / root)) + 1)
     windows = np.clip(np.floor(times / (4.0 * root)), 0, big_n).astype(int)
@@ -1181,7 +1177,7 @@ def test_field_values_buffers_are_fresh():
     # slices of one time side by side and sum them in place, so no two
     # field_values calls may share a buffer
     params = make_params(2.0**-12, 0.1, 0.25)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     lo = CuspEvaluator(params, 0, n_x=40)
     hi = CuspEvaluator(params, 1, n_x=40, symbol=lo.symbol)
     t = 2.0 * root
@@ -1205,7 +1201,7 @@ def test_window_integral_matches_flat_decomposition():
     # |I_k| times the center value within 10% (the window-decomposition shape)
     params = make_params(2.0**-16, 0.1, 0.25)
     sym = make_symbol(params)
-    root = math.sqrt((1.0 + params.a) * params.a)
+    root = params.time_unit / 2.0
     k, q, r = 1, 6.0, 6.0
     ev = CuspEvaluator(params, k, symbol=sym)
     half = params.c0 * root

@@ -29,7 +29,10 @@ def test_compare_gives_the_largest_relative_change(fingerprint):
     old = {"a": fingerprint._numbers([1.0, 2.0, -4.0 * (1 + 1e-13)]), "b": {"sha256": "1"}}
     [(name, change), bytes_row] = fingerprint.compare(new, old)
     assert name == "a" and change.startswith("max relative change ")
-    assert float(change.rsplit(" ", 1)[1]) == pytest.approx(3e-12, rel=1e-2)
+    relative, on_peak = change.split(", ")
+    assert float(relative.rsplit(" ", 1)[1]) == pytest.approx(3e-12, rel=1e-2)
+    assert on_peak.startswith("on its peak ")  # the largest change, 6e-12, over the peak |value|, 4
+    assert float(on_peak.rsplit(" ", 1)[1]) == pytest.approx(1.5e-12, rel=1e-2)
     assert bytes_row == ("b", "bytes differ")  # a file's hash has no values to compare
 
 
