@@ -6,13 +6,16 @@ integral,
 
     u^n(t,x,y) = int d eta  e^{i eta (y - t sqrt(1+a) + (4/3) n a^{3/2})/h}
                  (h/eta)^{1/3} int d xi  rhohat^n(xi; eta) e^{i xi w}
-                 Ai((eta/h)^{2/3}(x-a) + (h/eta)^{1/3} a^{-1/2} xi),
+                 Ai(omega^{2/3} s + omega^{-1/3} xi),
 
-with w = t/(2 sqrt(1+a) sqrt(a)) - 2n the symbol argument.  Reflections act on
-the spectrum as the multiplier (-1)^n c^n(zeta, eta lam) e^{i n eta lam
-f(zeta)} at zeta = xi/(eta lam); boundary traces multiply by the truncated
-oscillatory-branch symbols instead.  All phase conventions below are fixed by
-requiring the n -> n+1 boundary-trace cancellation to hold numerically.
+with x = a(1 + s), omega = eta lam and w = t/time_unit - 2n the symbol argument
+(``SemiclassicalParams.time_unit``).  Reflections act on the spectrum as the
+multiplier (-1)^n c^n(zeta, omega) e^{i n omega f(zeta)} at zeta = xi/omega;
+boundary traces multiply by the truncated oscillatory-branch symbols instead.
+Only (h/eta)^{1/3} and the y-scale see h, so the L^r norm of a slice at
+tau = t/time_unit is h^{1/3+1/r} a^{1/r} F_r(lam, tau), lam = a^{3/2}/h.  All
+phase conventions below are fixed by requiring the n -> n+1 boundary-trace
+cancellation to hold numerically.
 """
 
 from __future__ import annotations
@@ -260,18 +263,17 @@ def symbol_sigma(c0: float) -> float:
     return 0.475 * (c0 + 0.2)
 
 
-def symbol_grid(params: SemiclassicalParams) -> tuple[int, float]:
+def symbol_grid(lam: float, c0: float) -> tuple[int, float]:
     """(n_z, z_max) resolving both the mollifier scale and the field's xi-quadrature.
 
     The spectral step 2 pi / (2 z_max) must resolve the xi-oscillation of the
-    Airy-reduction integrand, whose rate is |w| + beta sqrt(T); the z-step
-    puts 8 points on the mollifier scale 1/lambda.
+    Airy-reduction integrand, whose rate is |w| + beta sqrt(T) at omega = 1.25 lam
+    and 0.78 lam; the z-step puts 8 points on the mollifier scale 1/lambda.
     """
-    lam, h, a = params.lam, params.h, params.a
-    sigma = symbol_sigma(params.c0)
+    sigma = symbol_sigma(c0)
     xi_cut = 7.8 / sigma
-    alpha_a = a * (1.25 / h) ** (2.0 / 3.0)
-    beta = (h / 0.78) ** (1.0 / 3.0) / math.sqrt(a)
+    alpha_a = (1.25 * lam) ** (2.0 / 3.0)
+    beta = (0.78 * lam) ** (-1.0 / 3.0)
     t_max = alpha_a * 1.4 + beta * xi_cut
     xi_rate = 1.55 + beta * math.sqrt(max(t_max, 1.0))
     dxi = 1.5 / xi_rate
@@ -293,7 +295,7 @@ def make_symbol(params: SemiclassicalParams, *, n_points: int | None = None,
     """
     c0, lam = params.c0, params.lam
     if n_points is None or z_max is None:
-        n_auto, zmax_auto = symbol_grid(params)
+        n_auto, zmax_auto = symbol_grid(lam, c0)
         n_points = n_points or n_auto
         z_max = z_max or zmax_auto
     z = np.linspace(-z_max, z_max, n_points, endpoint=False)
@@ -329,12 +331,11 @@ def iterate_symbol(rho0: CuspSymbol, n: int, eta: float, params: SemiclassicalPa
     """
     if n < 0 or n > params.n_reflections:
         raise CuspError(f"need 0 <= n <= N = {params.n_reflections}, got n = {n}")
-    lam = params.lam
     psi = float(_WINDOW(np.array([eta]))[0])
     if n == 0:
         return replace(rho0, values=psi * rho0.values, spectrum=psi * rho0.spectrum,
                        eta=eta, order=0)
-    omega = eta * lam
+    omega = eta * params.lam
     if omega / n < 4.0:
         raise CuspError(f"eta lam / n = {omega/n:.2f} < 4: reflection regime violated")
     spectrum = psi * _KERNEL.reflection_multiplier(rho0.xi / omega, omega, n) * rho0.spectrum
@@ -418,27 +419,28 @@ def _spectral_setup(params: SemiclassicalParams, n: int, symbol: CuspSymbol, eta
     return xi, spec[keep][order], omega, mult, dxi
 
 
-def _airy_factor(h: float, a: float, x: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Ai((eta/h)^{2/3}(x-a) + (h/eta)^{1/3} a^{-1/2} xi)[eta, x, xi], filled one eta row at a time
-    from one reused (x, xi) argument buffer and held per thread for the next build on the same
-    h, a and grids: they alone fix the arguments and table, so a hit equals a fill."""
+def _airy_factor(lam: float, s: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Ai(omega^{2/3} s + omega^{-1/3} xi)[eta, s, xi] with omega = eta lam, filled one eta row at a
+    time from one reused (s, xi) argument buffer and held per thread for the next build on the same
+    inputs: they alone fix the arguments and table, so a hit equals a fill."""
     held = getattr(_HELD, "entry", None)
-    if held is not None and all(map(np.array_equal, held[0], (h, a, x, eta, xi))):
+    if held is not None and all(map(np.array_equal, held[0], (lam, s, eta, xi))):
         return held[1]
     held = _HELD.entry = None  # the held factor goes before a new one is filled
-    alpha = (eta / h) ** (2.0 / 3.0)
-    beta = (h / eta) ** (1.0 / 3.0) / math.sqrt(a)
-    args_lo = alpha.max() * (x.min() - a) + beta.max() * xi.min()
-    args_hi = alpha.max() * (x.max() - a) + beta.max() * max(xi.max(), 0.0)
+    omega = eta * lam
+    alpha = omega ** (2.0 / 3.0)
+    beta = omega ** (-1.0 / 3.0)
+    args_lo = alpha.max() * s.min() + beta.max() * xi.min()
+    args_hi = alpha.max() * s.max() + beta.max() * max(xi.max(), 0.0)
     table = AiryTable(min(args_lo, -5.0) - 2.0, max(args_hi, 5.0) + 2.0)
-    factor = np.empty((eta.size, x.size, xi.size))
-    arg = np.empty((x.size, xi.size))  # one eta row's arguments, reused
+    factor = np.empty((eta.size, s.size, xi.size))
+    arg = np.empty((s.size, xi.size))  # one eta row's arguments, reused
     for e in range(eta.size):
-        np.multiply(alpha[e], (x - a)[:, None], out=arg)
+        np.multiply(alpha[e], s[:, None], out=arg)
         arg += beta[e] * xi
         table(arg, out=factor[e])
     factor.flags.writeable = False  # every evaluator on this key reads the same array
-    _HELD.entry = ((h, a, x.copy(), eta.copy(), xi.copy()), factor)
+    _HELD.entry = ((lam, s.copy(), eta.copy(), xi.copy()), factor)
     return factor
 
 
@@ -457,10 +459,10 @@ class CuspEvaluator:
 
     The cusp is stored in two parts.  The real Airy factor ``_airy[eta, x, xi]``
     (:func:`_airy_factor`) is eta-major, so each eta block is one contiguous
-    (n_x, n_xi) matrix; it depends on neither n nor the second derivative, so
-    one factor per h and thread is filled and held for the next evaluator on the
-    same grids.  The complex weights ``_weights[eta, xi]`` hold everything that
-    depends on n: the window, the reflection multiplier, the base spectrum,
+    (n_x, n_xi) matrix; it reads only lam and the s = x/a - 1, eta and xi grids,
+    so one factor per thread is held for the next evaluator on the same inputs,
+    whatever its n.  The complex weights ``_weights[eta, xi]`` hold everything
+    that depends on n: the window, the reflection multiplier, the base spectrum,
     (h/eta)^{1/3} dxi and the second-derivative factor.  The xi grid is
     :func:`_spectral_setup` at the ``_KEEP_TOL`` cut, trimmed for n > 0 at the
     reflection cutoff 2c max(eta) lam; the trim sets the width of the factor.
@@ -525,7 +527,7 @@ class CuspEvaluator:
             weights = weights * (1j * self.xi[None, :]) ** 2 * (h**-params.delta / (4.0 * (1.0 + a)))
         self._weights = weights * ((h / self.eta)[:, None] ** (1.0 / 3.0)) * dxi
 
-        self._airy = _airy_factor(h, a, self.x, self.eta, self.xi)
+        self._airy = _airy_factor(lam, self.x / a - 1.0, self.eta, self.xi)
         self._planned = [float(t) for t in times]  # the times still to be contracted, in order
         self._held = None  # (batch times, their (eta, x, 2 len(batch)) contraction)
 
@@ -818,7 +820,8 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
     times at once and it holds at most one (eta, x, 16) block (see
     :class:`CuspEvaluator`).  Every slice is norm-only: its row powers for
     every r are summed 16 x-rows at a time as it is assembled, so the walk
-    forms no (n_x, n_fft) slice, and every output below is taken from them.
+    forms no (n_x, n_fft) slice, and every output below is taken from them.  By
+    the module's similarity each norm is h^{1/3+1/r} a^{1/r} F_r(lam, t/time_unit).
 
     Returns ``times``; ``inner``, whose row j holds the L^{r_j} norm at each
     time; ``l2_initial``, the L^2 norm of U_h(0), from the same slice with
@@ -829,11 +832,10 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
     walk's first pair slice reuses.
     """
     unit = params.time_unit
-    period = 2.0 * unit
     big_n = params.n_reflections
     n_t = int(math.ceil(2.0 * samples_per_sqrt_a / unit)) + 1
     times = np.linspace(0.0, 1.0, n_t)
-    windows = np.clip(np.floor(times / period), 0, big_n).astype(int)
+    windows = np.clip(np.floor(times / (2.0 * unit)), 0, big_n).astype(int)
 
     symbol = make_symbol(params)
     k_chk = big_n // 2 if big_n >= 2 else None  # the check needs cusps k_chk - 1 >= 0 and k_chk

@@ -36,7 +36,7 @@ from convexwave.cusp import (
     uh_mixed_norms,
     wave_residual,
 )
-from convexwave.normlab import NormError, grid_lr_norm, lqlr_norm, lr_norm, row_powers
+from convexwave.normlab import NormError, grid_lr_norm, lqlr_norm, lr_norm, row_powers, rows_norm
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +230,6 @@ def test_iterate_uniform_sup_bound(params_mid, symbol_mid):
 def test_iterate_rejects_low_frequency_regime(params_mid, symbol_mid):
     with pytest.raises(CuspError, match="regime"):
         iterate_symbol(symbol_mid, params_mid.n_reflections, 2e-2, params_mid)
-
-
-def test_iterate_matches_brute_convolution_oracle():
-    # coarse parameters (lam ~ 5.6 keeps eta lam / n >= 4 for n = 1)
-    params = make_params(5e-3, 0.1, 0.25)
-    eta = 1.05
-    sym = make_symbol(params)
-    spectral = iterate_symbol(sym, 1, eta, params)
-    kern = ReflectionKernel()
-    omega = eta * params.lam
-    nodes, weights = np.polynomial.legendre.leggauss(1200)
-    zeta = nodes * 2.0 * kern.chi_flat
-    wz = weights * 2.0 * kern.chi_flat
-    keep = np.abs(sym.z) <= 3.5
-    zp = sym.z[keep]
-    rho = sym.values[keep].real
-    dzp = sym.dz
-    idx = np.nonzero(np.abs(sym.z) <= 1.5)[0][::4]
-    sample = sym.z[idx]
-    phases = np.exp(1j * omega * (np.subtract.outer(sample, zp)[:, None, :] * zeta[None, :, None]
-                                  + kern.f(zeta)[None, :, None]))
-    c_vals = kern.c_symbol(zeta, omega)
-    brute = -(omega / (2.0 * math.pi)) * np.einsum("szp,z,p->s", phases, c_vals * wz, rho * dzp)
-    spectral_vals = spectral.values[idx]
-    scale = np.abs(spectral_vals).max()
-    assert np.max(np.abs(brute - spectral_vals)) <= 1e-4 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -660,11 +634,22 @@ def test_uh_mixed_norms_window_walk_matches_time_loop(e, samples, q):
     out = uh_mixed_norms(params, (6.0,), samples_per_sqrt_a=samples)
     ref = _uh_mixed_norms_by_time(params, q, 6.0, samples)
     # the walk sums each pair before one y-assembly, the loop sums two
-    # assembled slices: the norms agree to rounding, the check exactly
+    # assembled slices: the norms agree to rounding, and so does the check,
+    # which the walk takes from norm-only slices and the loop from full fields
     assert lqlr_norm(out["inner"][0], out["times"], q) == pytest.approx(ref["lqlr"], rel=1e-12, abs=0.0)
     assert out["l2_initial"] == pytest.approx(ref["l2_initial"], rel=1e-12, abs=0.0)
     assert out["times"].size == ref["n_time_samples"]
-    assert out["third_cusp_fraction"] == [ref["checks"]["third_cusp_fraction"]]
+    [third] = out["third_cusp_fraction"]
+    assert third == pytest.approx(ref["checks"]["third_cusp_fraction"], rel=1e-12, abs=0.0)
+    # the same norm-only slices of fresh evaluators give the walk's check exactly
+    k_chk = params.n_reflections // 2
+    t_chk = (2.0 * k_chk + 1.0) * params.time_unit  # the gap apex between u^{k_chk} and u^{k_chk + 1}
+    lo = CuspEvaluator(params, k_chk - 1)
+    hi = CuspEvaluator(params, k_chk, symbol=lo.symbol)
+    own, _, center = hi.field_values(t_chk, r_list=(6.0,))
+    below = lo.field_values(t_chk, center, r_list=(6.0,))[0]
+    wx = trapezoid_weights(lo.x)
+    assert third == rows_norm(below[0], wx, 6.0) / rows_norm(own[0], wx, 6.0)
 
 
 @pytest.mark.parametrize("e, k, shifted, shared", [
@@ -720,7 +705,7 @@ def test_reflected_cusps_share_one_airy_factor():
 
 
 def test_field_and_residual_share_the_held_factor():
-    # cusp_field then wave_residual at one h: the key is h, a and the grids, so
+    # cusp_field then wave_residual at one h: the key is lam and the grids, so
     # two params objects made separately still share one factor, and each
     # evaluator slices exactly as one that filled its own factor
     p1, p2 = make_params(2.0**-12, 0.1, 0.25), make_params(2.0**-12, 0.1, 0.25)
@@ -818,6 +803,27 @@ def test_field_and_trace_xi_cuts_are_deliberate():
     field_xi = CuspEvaluator(params, 1, n_x=40, symbol=symbol).xi
     trace_xi = TraceEvaluator(params, 1, +1, symbol=symbol).xi
     assert np.abs(field_xi).max() <= cutoff < np.abs(trace_xi).max()
+
+
+def test_cusp_norms_are_lambda_similar():
+    # h enters a slice only through the weights' h^{1/3} and the y-scale, so at equal
+    # lam = a^{3/2}/h = 2^5.2 the norms rescaled by h^{1/3+1/r} a^{1/r} agree at t = 0 and
+    # for a (u^0 + u^1) pair slice at equal tau = t / time_unit; a grid rule in h breaks this
+    r_list = (2.0, 6.0, math.inf)
+    rescaled = []
+    for e, epsilon in ((16, 0.1), (13, 0.2)):
+        params = make_params(2.0**-e, epsilon, 0.25)
+        _HELD.entry = None
+        lo = CuspEvaluator(params, 0)
+        hi = CuspEvaluator(params, 1, symbol=lo.symbol)
+        wx = trapezoid_weights(lo.x)
+        slices = (lo.field_values(0.0, r_list=r_list)[0],
+                  lo.field_values(1.4 * params.time_unit, partner=hi, r_list=r_list)[0])
+        rescaled.append([rows_norm(p, wx, r) / (params.h ** (1.0 / 3.0 + 1.0 / r) * params.a ** (1.0 / r))
+                         for powers in slices for p, r in zip(powers, r_list)])
+    _HELD.entry = None
+    assert rescaled[0][0] > 0.0
+    np.testing.assert_allclose(rescaled[0], rescaled[1], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("e", [10, 20, 30])
@@ -943,11 +949,11 @@ def test_airy_factor_fill_makes_no_argument_chunk():
     # factor (factor + 39 MiB with (eta, 80, xi) argument chunks and a copy of each lookup)
     params = make_params(2.0**-10, 0.1, 0.25)
     ev = CuspEvaluator(params, 0, n_x=8)
-    x = np.linspace(0.0, 2.0 * params.a, 320)
+    s = np.linspace(-1.0, 1.0, 320)
     _HELD.entry = None
     tracemalloc.start()
     try:
-        factor = cw_cusp._airy_factor(params.h, params.a, x, ev.eta, ev.xi)
+        factor = cw_cusp._airy_factor(params.lam, s, ev.eta, ev.xi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -970,10 +976,10 @@ def test_airy_factor_equals_the_broadcast_formula(monkeypatch, e):
     _HELD.entry = None
     ev = CuspEvaluator(params, 0, n_x=48)
     _HELD.entry = None
-    h, a = params.h, params.a
-    alpha = (ev.eta / h) ** (2.0 / 3.0)
-    beta = (h / ev.eta) ** (1.0 / 3.0) / math.sqrt(a)
-    expected = tables[0](alpha[:, None, None] * (ev.x[None, :, None] - a) + beta[:, None, None] * ev.xi)
+    omega = ev.eta * params.lam
+    s = ev.x / params.a - 1.0  # x = a (1 + s)
+    expected = tables[0](omega[:, None, None] ** (2.0 / 3.0) * s[None, :, None]
+                         + omega[:, None, None] ** (-1.0 / 3.0) * ev.xi)
     assert len(tables) == 1
     assert np.array_equal(ev._airy.view(np.int64), expected.view(np.int64))
 
