@@ -39,7 +39,8 @@ The outputs are:
   ``DispersionCurve.fit``, with and without a mu cut), ``cusp --r-list 3,6`` and ``cusp --r 3`` at 2^-10 and 2^-12
   (t-resolution 3), a ``gallery`` run from a config file that sets the
   config-only ``h_list`` and ``t_steps`` and whose ``--r`` flag overrides the
-  file's ``r``, and ``report`` on the first cusp run.
+  file's ``r``, and ``report`` on the first cusp run; and each subcommand's
+  ``--help`` text at a fixed ``COLUMNS``, so that an added or dropped flag shows.
 
 Each group of outputs is computed in its own fresh interpreter, two at a time,
 so that no output depends on the heap layout that another group's calls leave
@@ -52,7 +53,9 @@ runs about 3.5 s of it).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -222,8 +225,15 @@ def _run_dir(out: dict, name: str, code: int, run: Path) -> None:
 
 
 def cli(out: dict) -> None:
+    from convexwave.cli import build_parser
     from convexwave.cli import main as cli_main
 
+    os.environ["COLUMNS"] = "100"  # argparse wraps the help text at the terminal width
+    for command in ("airy", "dispersion", "gallery", "cusp", "billiard", "report"):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.suppress(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        out[f"cli {command} --help"] = {"sha256": hashlib.sha256(text.getvalue().encode()).hexdigest()}
     h_list = ",".join(repr(h) for h in CLI_H)
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"  # sets the config-only t_steps and h_list; the flag overrides r
