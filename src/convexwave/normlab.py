@@ -115,11 +115,10 @@ def lr_norm(field: WaveField, r) -> float:
     return grid_lr_norm(field.values, field.x, field.y, r)
 
 
-def lqlr_norm(inner, times, q, *, window_duration=None) -> float:
+def lqlr_norm(inner, times, q) -> float:
     """Outer-L^q in time of the inner space norms ``inner`` sampled at ``times``.
 
-    The time grid must be uniform; with ``window_duration`` set, at least 8
-    samples per window are required.
+    The time grid must be uniform.
     """
     inner = np.asarray(inner, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -132,8 +131,6 @@ def lqlr_norm(inner, times, q, *, window_duration=None) -> float:
     dt = np.diff(times)
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise NormError("time grid must be uniform")
-    if window_duration is not None and dt[0] > window_duration / 8 * (1 + 1e-12):
-        raise NormError(f"{times.size} samples give dt={dt[0]:.3g} > window/8={window_duration/8:.3g}")
     if q == math.inf:
         return float(inner.max())
     wt = trapezoid_weights(times)

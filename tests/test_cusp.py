@@ -202,9 +202,16 @@ def test_make_symbol_zero_profile(params_mid):
     assert np.abs(sym.values).max() == 0.0
 
 
-def test_make_symbol_rejects_coarse_grid(params_mid):
+def test_make_symbol_rejects_coarse_grid():
+    # lambda = 3327 needs more than the symbol grid's cap of 2^18 points
     with pytest.raises(CuspError, match="coarse"):
-        make_symbol(params_mid, n_points=256, z_max=6.0)
+        make_symbol(make_params(2.0**-36, 0.1, 0.25))
+
+
+def test_make_symbol_rejects_a_wide_profile():
+    # a sigma 0.3 Gaussian puts 13.8% of its mass beyond c0 + 0.2 = 0.45
+    with pytest.raises(CuspError, match="tail mass fraction 0.138 > 0.05"):
+        make_symbol(make_params(2.0**-12, 0.1, 0.25), profile=lambda z: np.exp(-(z**2) / (2.0 * 0.3**2)))
 
 
 def test_symbol_spectrum_tail_negligible(symbol_mid):
@@ -225,6 +232,15 @@ def test_iterate_uniform_sup_bound(params_mid, symbol_mid):
     for n in range(1, params_mid.n_reflections + 1):
         out = iterate_symbol(symbol_mid, n, 1.0, params_mid)
         assert np.abs(out.values).max() <= 4.0 * sup0
+
+
+def test_iterate_gives_zero_for_a_zero_symbol_or_outside_the_window(params_mid, symbol_mid):
+    zero = make_symbol(params_mid, profile=lambda z: 0.0 * z)
+    for n in range(params_mid.n_reflections + 1):
+        assert not np.any(iterate_symbol(zero, n, 1.0, params_mid).values)
+        for eta in (0.7, 1.3):  # Psi vanishes outside (0.8, 1.2)
+            out = iterate_symbol(symbol_mid, n, eta, params_mid)
+            assert not np.any(out.values) and not np.any(out.spectrum)
 
 
 def test_iterate_rejects_low_frequency_regime(params_mid, symbol_mid):
@@ -321,8 +337,6 @@ def test_odd_n_fft_rejected(params_mid, symbol_mid):
     # the y-offset fftshift is folded into the signs (-1)^e, exact only for even n_fft
     with pytest.raises(CuspError, match="even"):
         CuspEvaluator(params_mid, 0, symbol=symbol_mid, n_fft=4095)
-    with pytest.raises(CuspError, match="even"):
-        TraceEvaluator(params_mid, 0, -1, symbol=symbol_mid, n_fft=4095)
 
 
 def test_field_x_localization():
