@@ -269,6 +269,8 @@ def cmd_dispersion(s):
 
 
 def cmd_gallery(s):
+    if not s.t_max > 0.0:
+        raise _UsageError(f"t_max must be > 0, got {s.t_max}")
     q = s.q
     if q is None:
         q = float((sharp_schrodinger_q if s.flow == "schrodinger" else sharp_wave_q)(s.r))

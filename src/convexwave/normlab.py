@@ -118,7 +118,7 @@ def lr_norm(field: WaveField, r) -> float:
 def lqlr_norm(inner, times, q) -> float:
     """Outer-L^q in time of the inner space norms ``inner`` sampled at ``times``.
 
-    The time grid must be uniform.
+    The time grid must be uniform and increasing.
     """
     inner = np.asarray(inner, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -129,6 +129,8 @@ def lqlr_norm(inner, times, q) -> float:
             return float(inner[0])
         raise NormError("a single time slice needs q = inf")
     dt = np.diff(times)
+    if not dt[0] > 0.0:  # a decreasing grid has negative trapezoid weights
+        raise NormError(f"time grid must increase, got step {dt[0]:.3g}")
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise NormError("time grid must be uniform")
     if q == math.inf:
@@ -153,14 +155,14 @@ class ExponentFit:
 def fit_exponent(samples) -> ExponentFit:
     """Least-squares slope of log(value) against log(h).
 
-    ``samples`` is an iterable of (h, value) pairs with positive entries;
-    at least 4 points are required.
+    ``samples`` is an iterable of (h, value) pairs with positive, finite
+    entries; at least 4 points are required.
     """
     pts = [(float(h), float(v)) for h, v in samples]
     if len(pts) < 4:
         raise NormError(f"need >= 4 samples for a fit, got {len(pts)}")
-    if any(h <= 0 or v <= 0 for h, v in pts):
-        raise NormError("fit requires positive h and values")
+    if not all(0.0 < h < math.inf and 0.0 < v < math.inf for h, v in pts):  # NaN fails too
+        raise NormError("fit requires positive, finite h and values")
     lx = np.log([h for h, _ in pts])
     ly = np.log([v for _, v in pts])
     xbar = lx.mean()

@@ -228,6 +228,9 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
     (["cusp", "--epsilon", 0.1, "--h-list", 1], None),
     (["dispersion", "--epsilon", 1.5], None),
     (["airy", "--config", "no-such-config.json"], None),
+    (["gallery", "--flow", "halfwave", "--data", "gaussian"],
+     {"gallery": {"t_max": -0.3, "h_steps": 4, "h_max": 4e-3, "h_min": 2e-5}}),
+    (["gallery"], {"gallery": {"t_max": 0, "h_steps": 4, "h_max": 4e-3, "h_min": 2e-5}}),
 ], ids=["lambda_min_below_1", "h_min_zero", "h_min_negative", "window_inner_not_below_outer",
         "gallery_r_not_a_number", "gallery_unknown_data", "gallery_unknown_flow",
         "cusp_h_list_zero", "cusp_h_max_above_1",
@@ -237,7 +240,7 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
         "gallery_derived_q_negative", "gallery_t_steps_zero", "gallery_t_steps_negative",
         "dispersion_k_negative", "dispersion_seed_negative", "cusp_epsilon_above_1",
         "cusp_c0_above_a_third", "cusp_h_too_large_for_lambda", "dispersion_epsilon_above_1",
-        "config_file_missing"])
+        "config_file_missing", "gallery_t_max_negative", "gallery_t_max_zero"])
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, argv, config):
     out = tmp_path / "bad"
     if config is not None:

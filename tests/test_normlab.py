@@ -106,6 +106,14 @@ def test_lqlr_length_mismatch():
         lqlr_norm(np.ones(4), 0.1 * np.arange(5), 2)
 
 
+def test_lqlr_rejects_a_decreasing_time_grid():
+    # its trapezoid weights would be negative, and the q-th root of their sum NaN
+    with pytest.raises(NormError, match="time grid must increase"):
+        lqlr_norm(np.ones(5), -0.1 * np.arange(5), 6)
+    with pytest.raises(NormError, match="time grid must increase"):
+        lqlr_norm(np.ones(5), np.zeros(5), 6)
+
+
 def test_fit_exponent_exact_powers():
     hs = np.geomspace(1e-4, 1e-1, 7)
     fit = fit_exponent([(h, h**2) for h in hs])
@@ -135,6 +143,13 @@ def test_fit_exponent_guards():
         fit_exponent([(0.1, 1.0), (0.01, 2.0)])
     with pytest.raises(NormError):
         fit_exponent([(0.1, 1.0), (0.01, -2.0), (0.001, 1.0), (1e-4, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [(0.01, math.nan), (0.01, math.inf), (math.nan, 1.0), (math.inf, 1.0)])
+def test_fit_exponent_rejects_non_finite_samples(bad):
+    samples = [(0.1, 1.0), bad, (0.001, 1.0), (1e-4, 1.0)]
+    with pytest.raises(NormError, match="positive, finite"):
+        fit_exponent(samples)
 
 
 def test_fit_powerlaw_2d_recovers_joint_slopes(rng):
