@@ -7,8 +7,8 @@ parses every value and checks its bounds.  A ``cmd_*`` function then runs the
 checks that span several settings and returns the run.  Its first artifact
 makes the output directory, after every check has passed, so input that fails
 a check or a run that fails before any artifact leaves no directory.  Each run
-writes CSV/JSON outputs plus a manifest, and is deterministic given (config,
-seed).
+writes CSV/JSON outputs plus a manifest, and is deterministic given its
+settings; only ``dispersion`` has a seed, which jitters its grid.
 
 Exit codes: 0 success, 2 usage error, 3 numeric-validity error, 4 unreliable
 verdict.
@@ -65,7 +65,6 @@ class Setting:
         self.flag, self.help, self.error = flag, help, error
 
 
-_SEED = Setting(int, 0, help="seed (grid jitter only)")
 _THREADS = Setting(int, 1, help="worker pool size (one h per worker)")
 _H_GRID = {  # an h_list, comma-separated, replaces the geometric grid
     "h_list": Setting(str, flag=False),
@@ -74,10 +73,10 @@ _H_GRID = {  # an h_list, comma-separated, replaces the geometric grid
     "h_steps": Setting(int, 3, least=1),
 }
 
-SETTINGS = {command: {"seed": _SEED, **table} for command, table in {
+SETTINGS = {
     "airy": {"count": Setting(int, 10, least=1)},
     "dispersion": {
-        "seed": Setting(int, 0, least=0, help=_SEED.help),  # the grid jitter takes no negative seed
+        "seed": Setting(int, 0, least=0, help="seed (grid jitter only)"),
         "threads": _THREADS,
         "flow": Setting(("wave", "schrodinger"), "wave", error="unknown flow {value!r}"),
         **_H_GRID,
@@ -120,8 +119,8 @@ SETTINGS = {command: {"seed": _SEED, **table} for command, table in {
                         error=f"sign must be one of {', '.join(_SIGNS)}, got {{value!r}}"),
         "n": Setting(int, 1),
     },
-    "report": {},  # reads no setting
-}.items()}
+    "report": {},  # reads no setting, so it takes no --config
+}
 
 
 def _at_least(key: str, value, least, error=None) -> None:
@@ -182,7 +181,7 @@ def write_json(path: Path, obj, manifest_hash: str):
 
 
 class Manifest:
-    def __init__(self, config: dict, seed: int):
+    def __init__(self, config: dict, seed: int | None):
         self.config = config
         self.seed = seed
         self.timings: dict[str, float] = {}
@@ -380,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("report", "summarize artifacts from a run directory", cmd_report)):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", help="JSON config file with per-command sections")
+        if SETTINGS[name]:
+            p.add_argument("--config", help="JSON config file with per-command sections")
         for key, setting in SETTINGS[name].items():
             if setting.flag is False:
                 continue
@@ -404,7 +404,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:  # an unreadable config; ParameterError: make_params's own rules
             raise _UsageError(str(exc)) from None
         outdir = Path(args.out)
-        manifest = Manifest(cfg, settings.seed)
+        manifest = Manifest(cfg, getattr(settings, "seed", None))  # only dispersion has a seed
         code = run(outdir, manifest)
         manifest.write(outdir)
         return code

@@ -30,9 +30,20 @@ def test_airy_command_writes_zero_table(tmp_path):
 
 def test_airy_command_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["airy", "--count", 6, "--out", out1, "--seed", 3]) == 0
-    assert run(["airy", "--count", 6, "--out", out2, "--seed", 3]) == 0
+    assert run(["airy", "--count", 6, "--out", out1]) == 0
+    assert run(["airy", "--count", 6, "--out", out2]) == 0
     assert (out1 / "airy_zeros.csv").read_bytes() == (out2 / "airy_zeros.csv").read_bytes()
+    assert json.loads((out1 / "manifest.json").read_text())["seed"] is None
+
+
+@pytest.mark.parametrize("argv", [["airy", "--seed", 3], ["report", "--config", "cfg.json"]])
+def test_flag_that_changes_nothing_is_not_an_option(tmp_path, argv):
+    # only dispersion has a seed (its grid jitter), and report reads no setting
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", out])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_airy_usage_error(tmp_path):
@@ -139,6 +150,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert run(["airy", "--config", cfg, "--count", 4, "--out", out]) == 0
     lines = (out / "airy_zeros.csv").read_text().strip().splitlines()
     assert len(lines) == 6  # flag overrides config
+
+
+def test_a_shared_config_seed_is_ignored_where_there_is_no_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "airy": {"count": 3}}))  # top-level keys reach every command
+    out = tmp_path / "a"
+    assert run(["airy", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] is None
 
 
 def test_config_goes_after_the_subcommand(tmp_path):
