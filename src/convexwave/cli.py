@@ -76,7 +76,7 @@ _H_GRID = {  # an h_list, comma-separated, replaces the geometric grid
 SETTINGS = {
     "airy": {"count": Setting(int, 10, least=1)},
     "dispersion": {
-        "seed": Setting(int, 0, least=0, help="seed (grid jitter only)"),
+        "seed": Setting(int, 0, least=0, help="seed (grid jitter only)"),  # the grid jitter takes no negative seed
         "threads": _THREADS,
         "flow": Setting(("wave", "schrodinger"), "wave", error="unknown flow {value!r}"),
         **_H_GRID,
