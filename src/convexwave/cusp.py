@@ -381,39 +381,42 @@ _HELD = threading.local()  # per thread: the last filled Airy factor and its key
 
 def _spectral_setup(params: SemiclassicalParams, n: int, symbol: CuspSymbol, eta: np.ndarray,
                     keep_tol: float, xi_max: float = math.inf):
-    """(xi, base, omega, mult, dxi): the spectrum of u^n before any Airy factor.
+    """(xi, base, omega, mult, dxi, span): the spectrum of u^n before any Airy factor.
 
     ``base`` is rhohat^0 on the sorted xi range |xi| <= min(xi_keep, xi_max), ``dxi`` its
     step, and ``omega`` = eta lam and ``mult`` the n-fold reflection multiplier on the
-    (eta, xi) grid.  xi_keep is the largest |xi| where |rhohat^0| exceeds keep_tol times its
-    peak, so the cut drops at most n_z keep_tol of sum |rhohat^0| for n_z symbol samples.
+    (eta, xi) grid; ``span`` is the (least, largest) xi of the untrimmed cut |xi| <= xi_keep.
+    xi_keep is the largest |xi| where |rhohat^0| exceeds keep_tol times its peak, so the
+    cut drops at most n_z keep_tol of sum |rhohat^0| for n_z symbol samples.
     """
     spec = symbol.spectrum
     above = np.abs(spec) > keep_tol * np.abs(spec).max()
     xi_keep = float(np.abs(symbol.xi[above]).max()) if np.any(above) else 0.0
+    cut = symbol.xi[np.abs(symbol.xi) <= xi_keep]
     keep = np.abs(symbol.xi) <= min(xi_keep, xi_max)
     order = np.argsort(symbol.xi[keep])
     xi = symbol.xi[keep][order]
     omega = np.outer(eta, np.ones_like(xi)) * params.lam
     mult = _KERNEL.reflection_multiplier(xi[None, :] / omega, omega, n)
     dxi = float(xi[1] - xi[0]) if xi.size > 1 else 1.0
-    return xi, spec[keep][order], omega, mult, dxi
+    return xi, spec[keep][order], omega, mult, dxi, (float(cut.min()), float(cut.max()))
 
 
-def _airy_factor(lam: float, s: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def _airy_factor(lam: float, s: np.ndarray, eta: np.ndarray, xi: np.ndarray, span) -> np.ndarray:
     """Ai(omega^{2/3} s + omega^{-1/3} xi)[eta, s, xi] with omega = eta lam, filled one eta row at a
-    time from one reused (s, xi) argument buffer and held per thread for the next build on the same
-    inputs: they alone fix the arguments and table, so a hit equals a fill."""
+    time from one reused (s, xi) argument buffer on a table sized by the untrimmed cut's xi ``span``,
+    so that every n at one lam reads the same table.  The fill is held per thread; a later request
+    on the same lam, s, eta and span whose xi is a contiguous run of the held xi reads the held
+    array, whole or as the view of that run's columns, and a view equals a fill of its columns."""
     held = getattr(_HELD, "entry", None)
-    if held is not None and all(map(np.array_equal, held[0], (lam, s, eta, xi))):
-        return held[1]
+    if held is not None and all(map(np.array_equal, held[0], (lam, s, eta, span))):
+        j = int(np.searchsorted(held[1], xi[0]))
+        if np.array_equal(held[1][j : j + xi.size], xi):
+            return held[2] if xi.size == held[1].size else held[2][:, :, j : j + xi.size]
     held = _HELD.entry = None  # the held factor goes before a new one is filled
-    omega = eta * lam
-    alpha = omega ** (2.0 / 3.0)
-    beta = omega ** (-1.0 / 3.0)
-    args_lo = alpha.max() * s.min() + beta.max() * xi.min()
-    args_hi = alpha.max() * s.max() + beta.max() * max(xi.max(), 0.0)
-    table = AiryTable(min(args_lo, -5.0) - 2.0, max(args_hi, 5.0) + 2.0)
+    alpha, beta = (eta * lam) ** (2.0 / 3.0), (eta * lam) ** (-1.0 / 3.0)
+    table = AiryTable(min(alpha.max() * s.min() + beta.max() * span[0], -5.0) - 2.0,
+                      max(alpha.max() * s.max() + beta.max() * max(span[1], 0.0), 5.0) + 2.0)
     factor = np.empty((eta.size, s.size, xi.size))
     arg = np.empty((s.size, xi.size))  # one eta row's arguments, reused
     for e in range(eta.size):
@@ -421,7 +424,7 @@ def _airy_factor(lam: float, s: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> 
         arg += beta[e] * xi
         table(arg, out=factor[e])
     factor.flags.writeable = False  # every evaluator on this key reads the same array
-    _HELD.entry = ((lam, s.copy(), eta.copy(), xi.copy()), factor)
+    _HELD.entry = ((lam, s.copy(), eta.copy(), span), xi.copy(), factor)
     return factor
 
 
@@ -439,14 +442,13 @@ class CuspEvaluator:
     """Cached spectral tables for evaluating one reflected cusp at many times.
 
     The cusp is stored in two parts.  The real Airy factor ``_airy[eta, x, xi]``
-    (:func:`_airy_factor`) is eta-major, so each eta block is one contiguous
-    (n_x, n_xi) matrix; it reads only lam and the s = x/a - 1, eta and xi grids,
-    so one factor per thread is held for the next evaluator on the same inputs,
-    whatever its n.  The complex weights ``_weights[eta, xi]`` hold everything
-    that depends on n: the window, the reflection multiplier, the base spectrum,
-    (h/eta)^{1/3} dxi and the second-derivative factor.  The xi grid is
-    :func:`_spectral_setup` at the ``_KEEP_TOL`` cut, trimmed for n > 0 at the
-    reflection cutoff 2c max(eta) lam; the trim sets the width of the factor.
+    (:func:`_airy_factor`) is eta-major, each eta block an (n_x, n_xi) matrix of unit
+    column stride; it reads only lam and the s = x/a - 1, eta and xi grids, so every
+    evaluator at one lam reads one held factor, whatever its n.  The complex weights
+    ``_weights[eta, xi]`` hold all that depends on n: the window, the reflection
+    multiplier, the base spectrum, (h/eta)^{1/3} dxi and the second-derivative
+    factor.  The xi grid is :func:`_spectral_setup` at the ``_KEEP_TOL`` cut, trimmed for
+    n > 0 at the reflection cutoff 2c max(eta) lam; the trim sets the width of the view.
 
     A time slice multiplies the weights by e^{i xi w} and contracts them with
     the factor in one batched real matmul per eta block (:func:`_contract`),
@@ -502,13 +504,13 @@ class CuspEvaluator:
             raise CuspError(f"eta lam / n < 4 across the window for n = {self.n}")
         # for n > 0 the reflection cutoff kills |zeta| >= 2c at every eta in the window
         xi_max = 2.0 * _KERNEL.chi_flat * hi * lam if self.n > 0 else math.inf
-        self.xi, base_spec, _, mult, dxi = _spectral_setup(params, self.n, self.symbol, self.eta, _KEEP_TOL, xi_max)
-        weights = _WINDOW(self.eta)[:, None] * mult * base_spec[None, :]
+        self.xi, base, _, mult, dxi, span = _spectral_setup(params, self.n, self.symbol, self.eta, _KEEP_TOL, xi_max)
+        weights = _WINDOW(self.eta)[:, None] * mult * base[None, :]
         if second_deriv:
             weights = weights * (1j * self.xi[None, :]) ** 2 * (h**-params.delta / (4.0 * (1.0 + a)))
         self._weights = weights * ((h / self.eta)[:, None] ** (1.0 / 3.0)) * dxi
 
-        self._airy = _airy_factor(lam, self.x / a - 1.0, self.eta, self.xi)
+        self._airy = _airy_factor(lam, self.x / a - 1.0, self.eta, self.xi, span)
         self._planned = [float(t) for t in times]  # the times still to be contracted, in order
         self._held = None  # (batch times, their (eta, x, 2 len(batch)) contraction)
 
@@ -658,7 +660,7 @@ class TraceEvaluator:
         self.eta = np.linspace(*_WINDOW.support, n_eta)
         self._y = _YAssembly(self.eta, params.h, 4096)
 
-        self.xi, base, omega, refl, dxi = _spectral_setup(params, self.n, self.symbol, self.eta, _TRACE_KEEP_TOL)
+        self.xi, base, omega, refl, dxi, _ = _spectral_setup(params, self.n, self.symbol, self.eta, _TRACE_KEEP_TOL)
         zeta = self.xi[None, :] / omega
         inside = np.abs(zeta) < 2.0 * _KERNEL.chi_flat
         # clipping audit: |rhohat| mass at |zeta| > c is lost by the cutoff
@@ -788,21 +790,19 @@ def uh_mixed_norms(params: SemiclassicalParams, r_list, *, samples_per_sqrt_a: i
 
     The time grid resolves the sqrt(a)-sized essential windows.  On reflection
     window k (the times with clip(floor(t / period), 0, N) = k) the sum U_h(t)
-    reduces to the two bracketing cusps u^k and u^{k+1} (the others sit at
-    symbol arguments |z - 2n| >= 2 and are measured negligible by one
-    third-cusp check per run).  Each pair is summed on the shared dense eta
-    grid, so one y-assembly serves both cusps.  The windows are walked in order
-    and evaluator k+1 is handed on as the next window's lower cusp, so at most
-    two are alive at once.  Evaluator k+1 gets evaluator k's held Airy factor
-    when their grids match: every n >= 1, and n = 0 too once the reflection
-    cutoff is wider than its spectral cut; the last factor is released on
-    return.  Each evaluator is built with the times of the windows it serves
-    (k - 1 and k for evaluator k), so its slices contract the factor up to 8
-    times at once and it holds at most one (eta, x, 16) block (see
-    :class:`CuspEvaluator`).  Every slice is norm-only: its row powers for
-    every r are summed 16 x-rows at a time as it is assembled, so the walk
-    forms no (n_x, n_fft) slice, and every output below is taken from them.  By
-    the module's similarity each norm is h^{1/3+1/r} a^{1/r} F_r(lam, t/time_unit).
+    reduces to the two bracketing cusps u^k and u^{k+1} (the others sit at symbol
+    arguments |z - 2n| >= 2 and are measured negligible by one third-cusp check per
+    run).  Each pair is summed on the shared dense eta grid, so one y-assembly
+    serves both cusps.  The windows are walked in order and evaluator k+1 is handed
+    on as the next window's lower cusp, so at most two are alive at once.  They all
+    read evaluator 0's one Airy factor, n >= 1 as a column view, and it is released
+    on return.  Each evaluator is built with the times of the windows it serves
+    (k - 1 and k for evaluator k), so its slices contract the factor up to 8 times
+    at once and it holds at most one (eta, x, 16) block (see :class:`CuspEvaluator`).
+    Every slice is norm-only: its row powers for every r are summed 16 x-rows at a
+    time as it is assembled, so the walk forms no (n_x, n_fft) slice, and every
+    output below is taken from them.  By the module's similarity each norm is
+    h^{1/3+1/r} a^{1/r} F_r(lam, t/time_unit).
 
     Returns ``times``; ``inner``, whose row j holds the L^{r_j} norm at each
     time; ``l2_initial``, the L^2 norm of U_h(0), from the same slice with

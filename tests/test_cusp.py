@@ -677,8 +677,9 @@ def test_uh_mixed_norms_window_walk_matches_time_loop(e, samples, q):
 def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted, shared):
     # window k pairs u^k with u^{k+1}; the partner always sits (4/3) a^{3/2}
     # off self's centre, and a given y_center moves self's samples too; the
-    # shared ids let hi take lo's held Airy factor, as the window walk does,
-    # and the others clear the slot so that hi fills its own
+    # shared ids let hi read lo's held Airy factor (or the factor that lo
+    # views), as the window walk does, and the others clear the slot so that
+    # hi fills its own
     params = make_params(2.0**-e, 0.1, 0.25)
     assert k < params.n_reflections
     root = params.time_unit / 2.0
@@ -686,7 +687,7 @@ def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted, shared):
     if not shared:
         _HELD.entry = None
     hi = CuspEvaluator(params, k + 1, n_x=40, symbol=lo.symbol)
-    assert (hi._airy is lo._airy) == shared
+    assert np.shares_memory(hi._airy, lo._airy) == shared
     t = (4.0 * k + 1.3) * root
     y_center = lo.field_values(t)[2] + 0.3 * root if shifted else None
     pair, offsets, center = lo.field_values(t, y_center, partner=hi)
@@ -699,16 +700,18 @@ def test_pair_slice_is_the_sum_of_its_single_slices(e, k, shifted, shared):
 
 
 def test_reflected_cusps_share_one_airy_factor():
-    # the Airy factor does not depend on n: evaluator 2 takes the factor that
-    # evaluator 1 left held and slices exactly as a self-filled evaluator 2; at
-    # 2^-12 the n = 0 xi range is the wider 1e-13 spectral cut, so evaluator 1
-    # fills its own factor and still slices exactly as a fresh one
+    # the Airy factor does not depend on n: at 2^-12 the n >= 1 xi range is a
+    # contiguous run of the wider n = 0 range, so evaluators 1 and 2 read a
+    # column view of the factor that evaluator 0 filled, and each slices exactly
+    # as one that filled its own factor
     params = make_params(2.0**-12, 0.1, 0.25)
     root = params.time_unit / 2.0
+    _HELD.entry = None
     ev0 = CuspEvaluator(params, 0, n_x=40)
     ev1 = CuspEvaluator(params, 1, n_x=40, symbol=ev0.symbol)
     ev2 = CuspEvaluator(params, 2, n_x=40, symbol=ev0.symbol)
-    assert not np.shares_memory(ev1._airy, ev0._airy)
+    assert ev1.xi.size < ev0.xi.size
+    assert np.shares_memory(ev1._airy, ev0._airy)
     assert np.shares_memory(ev2._airy, ev1._airy)
     for ev in (ev1, ev2):
         _HELD.entry = None
@@ -800,8 +803,8 @@ def test_each_thread_holds_its_own_factor():
 
 def test_field_and_trace_xi_cuts_are_deliberate():
     # one spectral set-up, two cuts: the field keeps the 1e-13 cut, trimmed for
-    # n > 0 at the reflection cutoff 2c max(eta) lam (the width of the shared
-    # Airy factor); the trace keeps the wider 1e-14 cut, untrimmed
+    # n > 0 at the reflection cutoff 2c max(eta) lam (the width of its view of
+    # the shared Airy factor); the trace keeps the wider 1e-14 cut, untrimmed
     params = make_params(2.0**-20, 0.1, 0.25)
     symbol = make_symbol(params)
     field_xi = CuspEvaluator(params, 0, n_x=40, symbol=symbol).xi
@@ -867,9 +870,63 @@ def test_airy_factor_memory_does_not_grow_with_reflections():
     assert all(np.shares_memory(ev._airy, chain[0]._airy) for ev in chain)
 
 
+@pytest.mark.parametrize("e", [10, 12, 14, 16, 18, 22, 26])
+def test_reflected_cusp_views_equal_their_own_fills_in_any_build_order(e):
+    # u^1 built after u^0 reads a column view of u^0's factor (the whole of it once the
+    # reflection cutoff is wider than the spectral cut, at 2^-22 and below); built first, on a
+    # cleared slot, it fills its own columns, and the two are equal bit for bit, so no output
+    # depends on whether u^0 was built first; u^0 built after u^1 fills the same factor as alone
+    params = make_params(2.0**-e, 0.1, 0.25)
+    _HELD.entry = None
+    ev0 = CuspEvaluator(params, 0, n_x=40)
+    ev1 = CuspEvaluator(params, 1, n_x=40, symbol=ev0.symbol)
+    assert np.shares_memory(ev1._airy, ev0._airy)
+    assert (ev1._airy is ev0._airy) == (ev1.xi.size == ev0.xi.size)
+    _HELD.entry = None
+    alone = CuspEvaluator(params, 1, n_x=40, symbol=ev0.symbol)
+    after = CuspEvaluator(params, 0, n_x=40, symbol=ev0.symbol)
+    _HELD.entry = None
+    assert not np.shares_memory(alone._airy, ev1._airy)
+    np.testing.assert_array_equal(alone._airy, ev1._airy)
+    np.testing.assert_array_equal(after._airy, ev0._airy)
+
+
+def test_the_walk_fills_one_airy_factor_per_h(monkeypatch):
+    # every evaluator of a walk reads the factor that u^0 filled, so two walks
+    # make two Airy tables (four when n >= 1 filled its own at 2^-10 and 2^-12)
+    tables, init = [], AiryTable.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        tables.append(self)
+
+    monkeypatch.setattr(AiryTable, "__init__", spy)
+    for e in (10, 12):
+        uh_mixed_norms(make_params(2.0**-e, 0.1, 0.25), (6,), samples_per_sqrt_a=3)
+    assert len(tables) == 2
+
+
+def test_the_walk_peaks_at_one_airy_factor_and_its_slices():
+    # at 2^-10 the u^0 factor is 77.0 MiB, and u^1 views it: the walk peaks
+    # 18.9 MiB above it (the held contraction blocks, a row block of a slice,
+    # the symbol and the small tables); a second fill for u^1 read 108.0 MiB
+    params = make_params(2.0**-10, 0.1, 0.25)
+    factor_bytes = 8 * 160 * 320 * CuspEvaluator(params, 0, n_x=8).xi.size
+    _HELD.entry = None
+    tracemalloc.start()
+    try:
+        uh_mixed_norms(params, (6,), samples_per_sqrt_a=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _HELD.entry = None
+    assert peak <= factor_bytes + 20 * 2**20
+
+
 def test_uh_mixed_norms_memory_guard():
-    # the n = 0 Airy factor sets the peak: it is stored real, and at most it
-    # and one reflected factor are alive (stored complex, the same walk peaks at 240 MiB)
+    # the n = 0 Airy factor sets the peak: it is stored real, and every reflected
+    # cusp reads a view of it (89.6 MiB; 107.2 MiB when n >= 1 filled its own,
+    # and stored complex the same walk peaks at 240 MiB)
     params = make_params(2.0**-12, 0.1, 0.25)
     tracemalloc.start()
     try:
@@ -877,7 +934,7 @@ def test_uh_mixed_norms_memory_guard():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 115 * 2**20  # 107.2 MiB; 129.5 MiB when each slice was formed whole
+    assert peak <= 115 * 2**20  # 129.5 MiB when each slice was formed whole
 
 
 def test_held_factor_memory_guard():
@@ -898,10 +955,11 @@ def test_held_factor_memory_guard():
 
 
 def test_uh_mixed_norms_holds_one_row_block_at_a_time():
-    # at 2^-10 (N = 1) the walk peaks at both Airy factors, the two held
+    # at 2^-10 (N = 1) the walk peaks within both Airy factors' room (one is
+    # filled since u^1 views u^0's; see the test below), the two held
     # contraction blocks, one (16, n_fft) row block of a slice, plus 6 MiB for
-    # the symbol and the evaluators' small tables (108.0 MiB in all); forming
-    # each slice whole with its (n_x, n_eta_dense) samples read 130.3 MiB
+    # the symbol and the evaluators' small tables; forming each slice whole
+    # with its (n_x, n_eta_dense) samples read 130.3 MiB
     params = make_params(2.0**-10, 0.1, 0.25)
     xi_sizes = [CuspEvaluator(params, n, n_x=8).xi.size for n in (0, 1)]
     _HELD.entry = None
@@ -967,7 +1025,7 @@ def test_airy_factor_fill_makes_no_argument_chunk():
     _HELD.entry = None
     tracemalloc.start()
     try:
-        factor = cw_cusp._airy_factor(params.lam, s, ev.eta, ev.xi)
+        factor = cw_cusp._airy_factor(params.lam, s, ev.eta, ev.xi, (ev.xi[0], ev.xi[-1]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -978,7 +1036,9 @@ def test_airy_factor_fill_makes_no_argument_chunk():
 
 @pytest.mark.parametrize("e", [10, 22])
 def test_airy_factor_equals_the_broadcast_formula(monkeypatch, e):
-    # the row-by-row fill equals one lookup of the whole (eta, x, xi) argument array, bit for bit
+    # the row-by-row fill equals one lookup of the whole (eta, x, xi) argument array, bit for bit;
+    # u^1's own fill, on its trimmed xi, looks up the same table as u^0's (both sized by the span
+    # of the untrimmed cut), so it equals the formula on u^0's table too
     params = make_params(2.0**-e, 0.1, 0.25)
     tables, init = [], AiryTable.__init__
 
@@ -987,15 +1047,19 @@ def test_airy_factor_equals_the_broadcast_formula(monkeypatch, e):
         tables.append(self)
 
     monkeypatch.setattr(AiryTable, "__init__", spy)
+    evaluators = []
+    for n in (0, 1):
+        _HELD.entry = None
+        evaluators.append(CuspEvaluator(params, n, n_x=48, symbol=evaluators[0].symbol if n else None))
     _HELD.entry = None
-    ev = CuspEvaluator(params, 0, n_x=48)
-    _HELD.entry = None
-    omega = ev.eta * params.lam
-    s = ev.x / params.a - 1.0  # x = a (1 + s)
-    expected = tables[0](omega[:, None, None] ** (2.0 / 3.0) * s[None, :, None]
-                         + omega[:, None, None] ** (-1.0 / 3.0) * ev.xi)
-    assert len(tables) == 1
-    assert np.array_equal(ev._airy.view(np.int64), expected.view(np.int64))
+    assert len(tables) == 2
+    assert (tables[1].lo, tables[1].hi, tables[1].step) == (tables[0].lo, tables[0].hi, tables[0].step)
+    omega = evaluators[0].eta * params.lam
+    s = evaluators[0].x / params.a - 1.0  # x = a (1 + s)
+    for ev in evaluators:
+        expected = tables[0](omega[:, None, None] ** (2.0 / 3.0) * s[None, :, None]
+                             + omega[:, None, None] ** (-1.0 / 3.0) * ev.xi)
+        assert np.array_equal(ev._airy.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("rows", [(50,), ()])
