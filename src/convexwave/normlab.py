@@ -124,6 +124,8 @@ def lqlr_norm(inner, times, q) -> float:
     times = np.asarray(times, dtype=float)
     if times.size != inner.size:
         raise NormError("times and norms length mismatch")
+    if times.size == 0:
+        raise NormError("empty time grid")
     if times.size == 1:
         if q == math.inf:
             return float(inner[0])

@@ -106,6 +106,13 @@ def test_lqlr_length_mismatch():
         lqlr_norm(np.ones(4), 0.1 * np.arange(5), 2)
 
 
+@pytest.mark.parametrize("q", [6, math.inf])
+def test_lqlr_rejects_an_empty_time_grid(q):
+    # an empty grid has no step to check: it raised IndexError from the first step
+    with pytest.raises(NormError, match="empty time grid"):
+        lqlr_norm([], [], q)
+
+
 def test_lqlr_rejects_a_decreasing_time_grid():
     # its trapezoid weights would be negative, and the q-th root of their sum NaN
     with pytest.raises(NormError, match="time grid must increase"):
