@@ -66,11 +66,11 @@ class Setting:
 
 
 _THREADS = Setting(int, 1, help="worker pool size (one h per worker)")
-_H_GRID = {  # an h_list, comma-separated, replaces the geometric grid
+_H_GRID = {  # an h_list, comma-separated, or the geometric grid; the two exclude each other
     "h_list": Setting(str, flag=False),
-    "h_min": Setting(float, 1e-4),
-    "h_max": Setting(float, 1e-2),
-    "h_steps": Setting(int, 3, least=1),
+    "h_min": Setting(float),  # None: 1e-4
+    "h_max": Setting(float),  # None: 1e-2
+    "h_steps": Setting(int, least=1),  # None: 3
 }
 
 SETTINGS = {
@@ -213,14 +213,19 @@ def _floats(text: str) -> list[float]:
 
 
 def _h_grid(s) -> list[float]:
-    """The run's h values, each in make_params's range (0, 1]."""
-    hs = _floats(s.h_list) if s.h_list else [s.h_max, s.h_min]
+    """The run's h values, each in make_params's range (0, 1]: the h_list, or else h_steps values
+    from h_max to h_min; a list beside a set end or step count is a usage error."""
+    grid = (s.h_max, s.h_min, s.h_steps)
+    if s.h_list and grid != (None, None, None):
+        raise _UsageError("give h_list or the h_min, h_max, h_steps grid, not both")
+    h_max, h_min, steps = (default if v is None else v for v, default in zip(grid, (1e-2, 1e-4, 3)))
+    hs = _floats(s.h_list) if s.h_list else [h_max, h_min]
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise _UsageError(f"h must lie in (0, 1], got {h}")
     if s.h_list:
         return hs
-    return hs[:1] if s.h_steps == 1 else list(np.geomspace(*hs, s.h_steps))
+    return hs[:1] if steps == 1 else list(np.geomspace(*hs, steps))
 
 
 def cmd_airy(s):

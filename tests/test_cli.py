@@ -160,6 +160,16 @@ def test_a_shared_config_seed_is_ignored_where_there_is_no_seed(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["seed"] is None
 
 
+def test_an_unset_h_grid_takes_its_defaults_and_a_null_end_is_unset(tmp_path):
+    # the grid's ends and step count exclude an h_list only when set: a null key is not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gallery": {"h_list": "0.001,0.0001", "h_min": None, "h_steps": None}}))
+    settings = cli._resolve(cli.build_parser().parse_args(["gallery", "--config", str(cfg), "--out", "g"]))[1]
+    assert cli._h_grid(settings) == [1e-3, 1e-4]
+    settings = cli._resolve(cli.build_parser().parse_args(["gallery", "--out", "g"]))[1]
+    assert cli._h_grid(settings) == pytest.approx([1e-2, 1e-3, 1e-4], rel=1e-15)
+
+
 def test_config_goes_after_the_subcommand(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"billiard": {"n": 3}}))
@@ -250,6 +260,11 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
     (["gallery", "--flow", "halfwave", "--data", "gaussian"],
      {"gallery": {"t_max": -0.3, "h_steps": 4, "h_max": 4e-3, "h_min": 2e-5}}),
     (["gallery"], {"gallery": {"t_max": 0, "h_steps": 4, "h_max": 4e-3, "h_min": 2e-5}}),
+    (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--h-min", 5, "--r", 3, "--t-resolution", 3], None),
+    (["cusp", "--epsilon", 0.1, "--h-list", 2.0**-10, "--h-max", 2.0**-10], None),
+    (["cusp", "--epsilon", 0.1, "--h-steps", 1], {"cusp": {"h_list": repr(2.0**-10)}}),
+    (["gallery", "--h-min", 2.0**-9], {"gallery": {"h_list": repr(2.0**-8)}}),
+    (["dispersion"], {"dispersion": {"h_list": "1e-3", "h_steps": 2}}),
 ], ids=["lambda_min_below_1", "h_min_zero", "h_min_negative", "window_inner_not_below_outer",
         "gallery_r_not_a_number", "gallery_unknown_data", "gallery_unknown_flow",
         "cusp_h_list_zero", "cusp_h_max_above_1",
@@ -259,7 +274,9 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
         "gallery_derived_q_negative", "gallery_t_steps_zero", "gallery_t_steps_negative",
         "dispersion_k_negative", "dispersion_seed_negative", "cusp_epsilon_above_1",
         "cusp_c0_above_a_third", "cusp_h_too_large_for_lambda", "dispersion_epsilon_above_1",
-        "config_file_missing", "gallery_t_max_negative", "gallery_t_max_zero"])
+        "config_file_missing", "gallery_t_max_negative", "gallery_t_max_zero",
+        "cusp_h_list_and_h_min_out_of_range", "cusp_h_list_and_h_max", "cusp_h_steps_flag_and_h_list_config",
+        "gallery_h_min_flag_and_h_list_config", "dispersion_h_list_and_h_steps_config"])
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, argv, config):
     out = tmp_path / "bad"
     if config is not None:
