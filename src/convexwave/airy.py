@@ -272,8 +272,12 @@ class AiryZeros:
         return len(self.values)
 
 
+@functools.lru_cache(maxsize=32)
 def airy_zeros(count: int) -> AiryZeros:
-    """First ``count`` zeros of Ai(-w), bracketed and bisected to ~1e-11."""
+    """First ``count`` zeros of Ai(-w), bracketed and bisected to ~1e-11.
+
+    The table is cached per ``count`` (a gallery scan asks for the same one at
+    every h), so its ``values`` are read-only."""
     if count < 1:
         raise AiryError(f"count must be >= 1, got {count}")
     k = np.arange(count)
@@ -306,6 +310,7 @@ def airy_zeros(count: int) -> AiryZeros:
     resid = np.abs(ai(-zeros))
     if np.max(resid) > 1e-10:
         raise AiryError(f"zero refinement residual {np.max(resid):.2e} > 1e-10")
+    zeros.flags.writeable = False
     return AiryZeros(values=zeros)
 
 

@@ -108,6 +108,18 @@ def test_zero_gaps_shrink_like_cuberoot():
     assert comp[-1] == pytest.approx(np.pi, rel=0.03)
 
 
+def test_zeros_are_cached_per_count_and_read_only():
+    # a gallery scan asks for the same table at every h; the cached one equals a fresh search
+    zeros = airy_zeros(5)
+    assert airy_zeros(5) is zeros and airy_zeros(6) is not zeros
+    assert not zeros.values.flags.writeable
+    with pytest.raises(ValueError):
+        zeros.values[0] = 0.0
+    fresh = airy_zeros.__wrapped__(5)
+    assert fresh is not zeros
+    np.testing.assert_array_equal(fresh.values, zeros.values)
+
+
 def test_zero_count_validation():
     with pytest.raises(AiryError):
         airy_zeros(0)
