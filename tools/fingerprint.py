@@ -23,7 +23,9 @@ The outputs are:
 * ``CuspEvaluator.field_values`` at 2^-10, 2^-12 and 2^-18 (n_x = 50) for a
   single cusp, a pair and a pair on a shifted centre: the values (hashed, with
   their peak modulus and l2 sum as numbers), and the norm-only row powers
-  (``r_list``, r = 2, 5, 6, 8, inf) of the same slices;
+  (``r_list``, r = 2, 5, 6, 8, inf) of the same slices; and at 2^-12 a single
+  u^1 slice built on a cleared held-factor slot, so that it fills its own Airy
+  factor where the pairs read a view of u^0's (the two must agree bit for bit);
 * ``TraceEvaluator.signal`` at 2^-18 for Tr_-(u^1) and Tr_+(u^2) on one centre
   (hashed like the slices), and ``dirichlet_residual`` at 2^-18 and 2^-20
   (its ratio, windows and edges);
@@ -149,6 +151,7 @@ def walks(out: dict) -> None:
 
 
 def slices(out: dict) -> None:
+    from convexwave import cusp
     from convexwave.cusp import CuspEvaluator
     from convexwave.params import make_params
 
@@ -163,6 +166,11 @@ def slices(out: dict) -> None:
             values, offsets, center = lo.field_values(*args)
             out[f"field_values 2^-{e} {name}"] = _array(values, center + offsets)
             out[f"field_values 2^-{e} {name} row powers"] = _numbers(lo.field_values(*args, r_list=SLICE_R)[0])
+        if e == 12:
+            cusp._HELD.entry = None
+            alone = CuspEvaluator(params, 1, n_x=50, symbol=lo.symbol)
+            values, offsets, center = alone.field_values(t + 4.0 * root)  # the symbol argument of lo's t
+            out["field_values 2^-12 u^1 single, filled alone"] = _array(values, center + offsets)
 
 
 def traces(out: dict) -> None:
