@@ -875,7 +875,7 @@ def test_reflected_cusp_views_equal_their_own_fills_in_any_build_order(e):
     # u^1 built after u^0 reads a column view of u^0's factor (the whole of it once the
     # reflection cutoff is wider than the spectral cut, at 2^-22 and below); built first, on a
     # cleared slot, it fills its own columns, and the two are equal bit for bit, so no output
-    # depends on whether u^0 was built first; u^0 built after u^1 fills the same factor as alone
+    # depends on whether u^0 was built first; u^0 built after u^1 gets the factor it gets first
     params = make_params(2.0**-e, 0.1, 0.25)
     _HELD.entry = None
     ev0 = CuspEvaluator(params, 0, n_x=40)

@@ -25,7 +25,8 @@ The outputs are:
   their peak modulus and l2 sum as numbers), and the norm-only row powers
   (``r_list``, r = 2, 5, 6, 8, inf) of the same slices; and at 2^-12 a single
   u^1 slice built on a cleared held-factor slot, so that it fills its own Airy
-  factor where the pairs read a view of u^0's (the two must agree bit for bit);
+  factor where the pairs read a view of u^0's: a table rule under which that
+  fill and the view differ moves this output;
 * ``TraceEvaluator.signal`` at 2^-18 for Tr_-(u^1) and Tr_+(u^2) on one centre
   (hashed like the slices), and ``dirichlet_residual`` at 2^-18 and 2^-20
   (its ratio, windows and edges);
