@@ -98,45 +98,37 @@ def _taylor_core(z):
     return (1.0 - w) * acc0 + w * acc1
 
 
-def _branch_series(big_x, terms=None, factor=1j):
-    """S(X) = sum_k factor^k u_k X^{-k}, truncated; a real ``factor`` keeps the sum real.
+def _branch_series(big_x, terms, factor=1j):
+    """S(X) = sum_{k <= terms} factor^k u_k X^{-k}; a real ``factor`` keeps the sum real.
 
     ``factor = sign * 1j`` gives the oscillatory branch A^{sign}, ``factor = -1``
-    the decaying expansion of Ai(z).  With ``terms=None`` the sum is truncated
-    adaptively at the smallest term (per element); otherwise exactly
-    ``terms + 1`` terms are kept.
+    the decaying expansion of Ai(z).
     """
     big_x = np.asarray(big_x, dtype=float)
-    k_max = _UK.size - 1 if terms is None else terms
     dtype = complex if np.iscomplexobj(factor) else float
     s = np.ones(big_x.shape, dtype=dtype)
     term = np.ones(big_x.shape, dtype=dtype)
-    active = np.ones(big_x.shape, dtype=bool)
-    last_mag = np.full(big_x.shape, np.inf)
-    for k in range(1, k_max + 1):
+    for k in range(1, terms + 1):
         term = term * (factor * _UK[k] / _UK[k - 1]) / big_x
-        if terms is None:
-            mag = np.abs(term)
-            active &= mag < last_mag
-            s = np.where(active, s + term, s)
-            last_mag = np.where(active, mag, last_mag)
-        else:
-            s = s + term
+        s = s + term
     return s
 
 
 def _asym_neg(z):
-    """Ai(-z) for z >= BLEND_LO via the oscillatory expansion, as 2 Re A^+."""
+    """Ai(-z) for z >= BLEND_LO via the oscillatory expansion, as 2 Re A^+, to 25 terms.
+
+    There X >= 13.97, and each term ratio u_k / (u_{k-1} X) up to k = 25 is at most
+    12.0 / X < 1, so every kept term is smaller than the one before."""
     big_x = (2.0 / 3.0) * z**1.5
-    s_plus = _branch_series(big_x)
+    s_plus = _branch_series(big_x, 25)
     pref = _LEADING * z**-0.25
     return 2.0 * pref * np.real(np.exp(-1j * (big_x - 0.25 * math.pi)) * s_plus)
 
 
 def _asym_pos(z):
-    """Ai(z) for z >= BLEND_LO via the decaying expansion."""
+    """Ai(z) for z >= BLEND_LO via the decaying expansion, to 25 terms (see :func:`_asym_neg`)."""
     big_x = (2.0 / 3.0) * z**1.5
-    return _LEADING * z**-0.25 * np.exp(-big_x) * _branch_series(big_x, factor=-1.0)
+    return _LEADING * z**-0.25 * np.exp(-big_x) * _branch_series(big_x, 25, -1.0)
 
 
 def _blend_weight(az):

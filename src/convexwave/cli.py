@@ -117,7 +117,7 @@ SETTINGS = {
         "tau": Setting(float, 1.5),
         "sign": Setting(tuple(_SIGNS), "+", flag=("+", "-"),
                         error=f"sign must be one of {', '.join(_SIGNS)}, got {{value!r}}"),
-        "n": Setting(int, 1),
+        "n": Setting(int, 1, least=0),  # --sign - gives the inverse map
     },
     "report": {},  # reads no setting, so it takes no --config
 }
@@ -214,16 +214,19 @@ def _floats(text: str) -> list[float]:
 
 def _h_grid(s) -> list[float]:
     """The run's h values, each in make_params's range (0, 1]: the h_list, or else h_steps values
-    from h_max to h_min; a list beside a set end or step count is a usage error."""
+    from h_max to h_min; an empty list, or a list beside a set end or step count, is a usage error."""
     grid = (s.h_max, s.h_min, s.h_steps)
-    if s.h_list and grid != (None, None, None):
+    listed = s.h_list is not None
+    if listed and grid != (None, None, None):
         raise _UsageError("give h_list or the h_min, h_max, h_steps grid, not both")
+    if listed and not s.h_list.strip():
+        raise _UsageError("h_list is empty")
     h_max, h_min, steps = (default if v is None else v for v, default in zip(grid, (1e-2, 1e-4, 3)))
-    hs = _floats(s.h_list) if s.h_list else [h_max, h_min]
+    hs = _floats(s.h_list) if listed else [h_max, h_min]
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise _UsageError(f"h must lie in (0, 1], got {h}")
-    if s.h_list:
+    if listed:
         return hs
     return hs[:1] if steps == 1 else list(np.geomspace(*hs, steps))
 

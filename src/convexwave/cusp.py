@@ -28,14 +28,14 @@ from typing import ClassVar
 import numpy as np
 
 from .airy import _LEADING, _UK, AiryTable, _branch_series, cubic_coefficients, cubic_interpolate
-from .fields import FrequencyWindow, WaveField, trapezoid_weights
+from .fields import FrequencyWindow, WaveField, smoothstep, trapezoid_weights
 from .normlab import _BLOCK_SAMPLES, block_powers, check_exponent, region_split, rows_norm
 from .params import SemiclassicalParams, reflection_count
 
 __all__ = [
-    "PhaseSpacePoint", "billiard", "billiard_iterate", "ReflectionKernel",
+    "PhaseSpacePoint", "billiard_iterate", "ReflectionKernel",
     "CuspSymbol", "make_symbol", "iterate_symbol", "CuspEvaluator",
-    "cusp_field", "wave_residual", "trace", "boundary_residual",
+    "cusp_field", "wave_residual", "TraceEvaluator", "boundary_residual",
     "dirichlet_residual", "uh_mixed_norms", "reflection_count",
 ]
 
@@ -90,11 +90,6 @@ def billiard_iterate(point: PhaseSpacePoint, sign: int, n: int = 1) -> PhaseSpac
     )
 
 
-def billiard(point: PhaseSpacePoint, sign: int) -> PhaseSpacePoint:
-    """One application of the billiard ball map delta^{sign}."""
-    return billiard_iterate(point, sign, 1)
-
-
 # ---------------------------------------------------------------------------
 # reflection kernels
 
@@ -126,7 +121,6 @@ class ReflectionKernel:
     """
 
     chi_flat: ClassVar[float] = 0.25
-    chi_order: ClassVar[int] = 4
     branch_terms: int = 3
 
     def __post_init__(self):
@@ -134,10 +128,8 @@ class ReflectionKernel:
             raise CuspError("branch_terms must lie in [0, 6]")
 
     def chi(self, zeta):
-        from .fields import smoothstep
-
         u = (np.abs(np.asarray(zeta, dtype=float)) - self.chi_flat) / self.chi_flat
-        return 1.0 - smoothstep(u, self.chi_order)
+        return 1.0 - smoothstep(u)
 
     @staticmethod
     def f(zeta):
@@ -232,16 +224,14 @@ def _deriv_bounds(values: np.ndarray, dz: float) -> tuple:
 
 
 def _mollifier_samples(z: np.ndarray, lam: float) -> np.ndarray:
-    """k_lam(z) = lam k(lam z), k the unit-mass bump, normalized on the grid."""
+    """k_lam(z) = lam k(lam z), k the unit-mass bump, normalized on the grid.
+
+    :func:`make_symbol`'s step dz <= 1/(8 lam) puts at least 15 samples inside the bump."""
     u = lam * z
     k = np.zeros_like(z)
     inside = np.abs(u) < 1.0
     k[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    dz = z[1] - z[0]
-    total = k.sum() * dz
-    if total == 0.0:
-        raise CuspError(f"grid too coarse to resolve the mollifier scale 1/lambda = {1/lam:.3e}")
-    return k / total
+    return k / (k.sum() * (z[1] - z[0]))
 
 
 def symbol_sigma(c0: float) -> float:
@@ -639,9 +629,6 @@ class TraceSignal:
     values: np.ndarray
     y: np.ndarray
     y_center: float
-    t: float
-    n: int
-    sign: int
 
 
 class TraceEvaluator:
@@ -694,13 +681,7 @@ class TraceEvaluator:
         self._y.transform(vals)
         vals *= self._y.carrier
         vals *= self._y.deta
-        return TraceSignal(values=vals, y=center + self._y.offsets, y_center=center, t=t,
-                           n=self.n, sign=self.sign)
-
-
-def trace(n: int, sign: int, t: float, params: SemiclassicalParams, **opts) -> TraceSignal:
-    """Boundary trace Tr_{sign}(u^n)(t, .) evaluated spectrally."""
-    return TraceEvaluator(params, n, sign, **opts).signal(t)
+        return TraceSignal(values=vals, y=center + self._y.offsets, y_center=center)
 
 
 def _pair_sums(params: SemiclassicalParams, n: int, t_grid, symbol: CuspSymbol) -> tuple[float, float]:
@@ -734,7 +715,7 @@ def _pair_sums(params: SemiclassicalParams, n: int, t_grid, symbol: CuspSymbol) 
 
 def boundary_residual(n: int, params: SemiclassicalParams, *,
                       symbol: CuspSymbol | None = None) -> float:
-    """|Tr_-(u^n) + Tr_+(u^{n+1})|_{L2(t,y)} / max(|Tr_-(u^n)|_{L2}, tiny) over 24 times.
+    """|Tr_-(u^n) + Tr_+(u^{n+1})|_{L2(t,y)} / |Tr_-(u^n)|_{L2} over 24 times; 0 where the trace vanishes.
 
     The pair cancels up to the chi-tail of the symbol spectrum and the
     branch-series truncation.
@@ -743,8 +724,6 @@ def boundary_residual(n: int, params: SemiclassicalParams, *,
         raise CuspError(f"need n < N = {params.n_reflections}")
     if symbol is None:
         symbol = make_symbol(params)
-    if float(np.abs(symbol.values).max(initial=0.0)) == 0.0:
-        return 0.0
     t_centers = (2.0 * n + 1.0 + np.linspace(-1.4, 1.4, 24)) * params.time_unit
     num, den = _pair_sums(params, n, t_centers, symbol)
     den = math.sqrt(den)

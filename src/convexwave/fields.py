@@ -10,24 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
 
-def smoothstep(t, order: int = 4):
-    """Polynomial ramp of smoothness class C^order, 0 at t<=0 and 1 at t>=1."""
+def smoothstep(t):
+    """Polynomial ramp of smoothness class C^4, 0 at t<=0 and 1 at t>=1."""
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    n = order
     acc = np.zeros_like(t)
-    for k in range(n + 1):
-        acc = acc + math.comb(n + k, k) * math.comb(2 * n + 1, n - k) * (-t) ** k
-    return np.clip(t ** (n + 1) * acc, 0.0, 1.0)
+    for k in range(5):
+        acc = acc + math.comb(4 + k, k) * math.comb(9, 4 - k) * (-t) ** k
+    return np.clip(t**5 * acc, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class FrequencyWindow:
-    """Smooth bump around eta = 1: equal to 1 inside, 0 outside, C^order ramp.
+    """Smooth bump around eta = 1: equal to 1 inside, 0 outside, C^4 ramp.
 
     Zero is excluded from the support (center - outer > 0 is enforced), so the
     dispersion symbols stay smooth on the window.
@@ -36,7 +34,6 @@ class FrequencyWindow:
     center: float = 1.0
     inner_halfwidth: float = 0.1
     outer_halfwidth: float = 0.2
-    order: ClassVar[int] = 4
 
     def __post_init__(self):
         if not 0.0 < self.inner_halfwidth < self.outer_halfwidth:
@@ -48,7 +45,7 @@ class FrequencyWindow:
         u = (np.abs(np.asarray(eta, dtype=float) - self.center) - self.inner_halfwidth) / (
             self.outer_halfwidth - self.inner_halfwidth
         )
-        return 1.0 - smoothstep(u, self.order)
+        return 1.0 - smoothstep(u)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -117,10 +114,6 @@ class WaveField:
     def __post_init__(self):
         if self.values.shape != (self.x.size, self.y.size):
             raise ValueError(f"field shape {self.values.shape} != grid ({self.x.size}, {self.y.size})")
-
-    @property
-    def dy(self) -> float:
-        return float(self.y[1] - self.y[0])
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:

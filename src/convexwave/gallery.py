@@ -16,7 +16,7 @@ import numpy as np
 
 from .airy import ai, airy_zeros
 from .fields import FrequencyWindow, TransverseGrid, WaveField, make_transverse_grid, trapezoid_weights
-from .normlab import NormScanResult, fit_exponent, lqlr_norm, lr_norm, lr_power, spans_fit
+from .normlab import NormScanResult, fit_exponent, lqlr_norm, lr_norm, row_powers, rows_norm, spans_fit
 from .oscillatory import g_schrodinger, g_wave
 
 
@@ -201,7 +201,8 @@ class _ModeSynthesis:
         wx, wy = self._wx, self._wy
 
         def power(keep_x, keep_y):
-            return lr_power(self.basis[keep_x], wx[keep_x], wy[keep_y], r, right=profiles[:, keep_y])
+            rows = row_powers(self.basis[keep_x], wy[keep_y], r, right=profiles[:, keep_y])
+            return rows_norm(rows, wx[keep_x], r, power=True)
 
         core_x, core_y = beta >= 0.5 * beta.max(initial=0.0), c >= 0.5 * c.max(initial=0.0)
         i0 = power(core_x, core_y)
@@ -278,8 +279,7 @@ def norm_equivalence(k: int, h: float, envelope: np.ndarray, grid: TransverseGri
     wy = trapezoid_weights(grid.y)
 
     def filtered_norm(win):
-        power = lr_power(grid.ifft(spectrum * win(grid.eta))[None, :], np.ones(1), wy, r)
-        return power if r == math.inf else power ** (1.0 / r)
+        return rows_norm(row_powers(grid.ifft(spectrum * win(grid.eta))[None, :], wy, r), np.ones(1), r)
 
     left = filtered_norm(psi1)
     right = filtered_norm(psi2)

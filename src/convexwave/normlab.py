@@ -28,14 +28,6 @@ def grid_lr_norm(values: np.ndarray, x: np.ndarray, y: np.ndarray, r) -> float:
     return rows_norm(row_powers(values, trapezoid_weights(y), r), trapezoid_weights(x), r)
 
 
-def lr_power(values: np.ndarray, wx: np.ndarray, wy: np.ndarray, r, right=None) -> float:
-    """sum_ij wx_i |values_ij|^r wy_j, the r-th power of the L^r norm; r = inf returns the max.
-
-    With ``right`` given the samples are ``values @ right`` (see :func:`row_powers`).
-    """
-    return rows_norm(row_powers(values, wy, r, right), wx, r, power=True)
-
-
 def rows_norm(rows: np.ndarray, wx: np.ndarray, r, *, power: bool = False) -> float:
     """The L^r norm (its r-th power with ``power``) of the samples whose :func:`row_powers` are
     ``rows``, summed across rows with the weights wx; r = inf returns the max."""

@@ -11,6 +11,7 @@ kinks, and check the largest-lambda maximizer of each curve against the oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,14 +65,9 @@ class OscillatoryProblem:
             raise ValueError("phase is not twice differentiable on the domain")
 
 
-_GL_NODES = {}
-
-
+@functools.cache
 def _gl(n):
-    if n not in _GL_NODES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_NODES[n] = (x, w)
-    return _GL_NODES[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _panel_integrals(f_total, edges_lo, edges_hi, n):

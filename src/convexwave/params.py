@@ -71,10 +71,6 @@ class SemiclassicalParams:
     warnings: tuple = field(default_factory=tuple, compare=False)
 
     @property
-    def sqrt_a(self) -> float:
-        return math.sqrt(self.a)
-
-    @property
     def time_unit(self) -> float:
         """2 sqrt(a (1+a)): the time of one unit of the cusp symbol argument; a reflection takes two."""
         return 2.0 * math.sqrt((1.0 + self.a) * self.a)
@@ -84,8 +80,10 @@ def make_params(h: float, epsilon: float, c0: float = 0.2) -> SemiclassicalParam
     """Derive the full parameter set from (h, epsilon, c0).
 
     delta = (1-epsilon)/2, a = h^delta, lambda = a^{3/2}/h, and the reflection
-    count N from the tiling rule.  Rejects lambda <= 1 (h too large for the
-    asymptotic regime); attaches a warning for lambda < 10.
+    count N from the tiling rule (:func:`reflection_count`); as lambda h^epsilon
+    = 1/sqrt(a), that N lies within a factor 4 of lambda h^epsilon.  Rejects
+    lambda <= 1 (h too large for the asymptotic regime); attaches a warning for
+    lambda < 10.
     """
     if not 0.0 < h <= 1.0:
         raise ParameterError(f"h must lie in (0, 1], got {h}")
@@ -102,12 +100,6 @@ def make_params(h: float, epsilon: float, c0: float = 0.2) -> SemiclassicalParam
     if lam < 10.0:
         warnings = (f"lambda = {lam:.3f} < 10: asymptotic regime marginal",)
     n = reflection_count(h, delta)
-    sqrt_a = math.sqrt(a)
-    if abs(4.0 * n * sqrt_a - 1.0) > 2.0 * sqrt_a * (1.0 + 1e-12):
-        raise ParameterError(f"reflection tiling broken: |4 N sqrt(a) - 1| = {abs(4*n*sqrt_a-1):.4f} > 2 sqrt(a)")
-    budget = lam * h**epsilon
-    if not (budget / 16.0 <= n <= 4.0 * budget):
-        raise ParameterError(f"N = {n} not within a factor 4 of lambda*h^eps = {budget:.4f}")
     return SemiclassicalParams(
         h=h, epsilon=epsilon, delta=delta, a=a, lam=lam, n_reflections=n, c0=c0, warnings=warnings
     )

@@ -21,7 +21,6 @@ from convexwave.oscillatory import gamma_wave, pool_curves
 from convexwave.params import make_params
 from convexwave.cusp import (
     PhaseSpacePoint,
-    billiard,
     billiard_iterate,
     boundary_residual,
     cusp_field,
@@ -343,8 +342,8 @@ def test_criterion9_billiard_algebra(rng):
         q = billiard_iterate(p, +1, 4)
         q_steps = p
         for _ in range(4):
-            q_steps = billiard(q_steps, +1)
-        inv = billiard(billiard(p, +1), -1)
+            q_steps = billiard_iterate(q_steps, +1)
+        inv = billiard_iterate(billiard_iterate(p, +1), -1)
         worst = max(
             worst,
             abs(q.y - q_steps.y) / max(1.0, abs(q.y)),

@@ -188,13 +188,18 @@ def test_config_goes_after_the_subcommand(tmp_path):
     ["cusp", "--epsilon", 0.1],
     ["dispersion"],
 ])
-def test_empty_h_grid_is_usage_error(tmp_path, command):
+def test_empty_h_grid_is_usage_error(tmp_path, capsys, command):
     out = tmp_path / "empty"
     assert run(command + ["--h-steps", 0, "--out", out]) == 2
     assert not out.exists()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({command[0]: {"h_steps": -1}}))
     assert run(command + ["--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    cfg.write_text(json.dumps({command[0]: {"h_list": ""}}))  # an empty list, not an absent one
+    capsys.readouterr()
+    assert run(command + ["--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: h_list is empty\n"
     assert not out.exists()
 
 
@@ -265,6 +270,8 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
     (["cusp", "--epsilon", 0.1, "--h-steps", 1], {"cusp": {"h_list": repr(2.0**-10)}}),
     (["gallery", "--h-min", 2.0**-9], {"gallery": {"h_list": repr(2.0**-8)}}),
     (["dispersion"], {"dispersion": {"h_list": "1e-3", "h_steps": 2}}),
+    (["cusp", "--epsilon", 0.1, "--h-list", "", "--r", 3, "--t-resolution", 1], None),
+    (["billiard", "--n", -3], None),
 ], ids=["lambda_min_below_1", "h_min_zero", "h_min_negative", "window_inner_not_below_outer",
         "gallery_r_not_a_number", "gallery_unknown_data", "gallery_unknown_flow",
         "cusp_h_list_zero", "cusp_h_max_above_1",
@@ -276,7 +283,8 @@ def test_dispersion_unknown_flow_in_config_is_usage_error(tmp_path, capsys):
         "cusp_c0_above_a_third", "cusp_h_too_large_for_lambda", "dispersion_epsilon_above_1",
         "config_file_missing", "gallery_t_max_negative", "gallery_t_max_zero",
         "cusp_h_list_and_h_min_out_of_range", "cusp_h_list_and_h_max", "cusp_h_steps_flag_and_h_list_config",
-        "gallery_h_min_flag_and_h_list_config", "dispersion_h_list_and_h_steps_config"])
+        "gallery_h_min_flag_and_h_list_config", "dispersion_h_list_and_h_steps_config",
+        "cusp_empty_h_list_flag", "billiard_negative_n"])
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, argv, config):
     out = tmp_path / "bad"
     if config is not None:

@@ -24,7 +24,6 @@ from convexwave.cusp import (
     _KEEP_TOL,
     _pair_sums,
     _spectral_setup,
-    billiard,
     billiard_iterate,
     boundary_residual,
     cusp_field,
@@ -32,7 +31,6 @@ from convexwave.cusp import (
     iterate_symbol,
     make_symbol,
     reflection_count,
-    trace,
     uh_mixed_norms,
     wave_residual,
 )
@@ -44,7 +42,7 @@ from convexwave.normlab import NormError, grid_lr_norm, lqlr_norm, lr_norm, row_
 
 
 def test_billiard_reference_point():
-    p = billiard(PhaseSpacePoint(0.0, 0.0, 1.0, math.sqrt(2.0)), +1)
+    p = billiard_iterate(PhaseSpacePoint(0.0, 0.0, 1.0, math.sqrt(2.0)), +1)
     assert p.y == pytest.approx(20.0 / 3.0, rel=1e-14)
     assert p.t == pytest.approx(-4.0 * math.sqrt(2.0), rel=1e-14)
     assert (p.eta, p.tau) == (1.0, math.sqrt(2.0))
@@ -52,14 +50,14 @@ def test_billiard_reference_point():
 
 def test_billiard_gliding_limit_is_fixed_point():
     p0 = PhaseSpacePoint(0.3, -0.2, 1.0, math.sqrt(1.0 + 1e-12))
-    p1 = billiard(p0, +1)
+    p1 = billiard_iterate(p0, +1)
     assert abs(p1.y - p0.y) < 1e-5 and abs(p1.t - p0.t) < 1e-5
 
 
 def test_billiard_rejects_gliding_and_elliptic():
     for tau in (1.0, 0.5):
         with pytest.raises(GlidingRegimeError, match="gliding"):
-            billiard(PhaseSpacePoint(0.0, 0.0, 1.0, tau), +1)
+            billiard_iterate(PhaseSpacePoint(0.0, 0.0, 1.0, tau), +1)
 
 
 def test_billiard_algebra_on_random_points(rng):
@@ -71,10 +69,10 @@ def test_billiard_algebra_on_random_points(rng):
     for y, t, eta, tau in zip(ys, ts, etas, taus):
         p = PhaseSpacePoint(y, t, eta, tau)
         q3 = billiard_iterate(p, +1, 3)
-        q111 = billiard(billiard(billiard(p, +1), +1), +1)
+        q111 = billiard_iterate(billiard_iterate(billiard_iterate(p, +1), +1), +1)
         assert abs(q3.y - q111.y) <= 1e-12 * max(1.0, abs(q3.y))
         assert abs(q3.t - q111.t) <= 1e-12 * max(1.0, abs(q3.t))
-        back = billiard(billiard(p, +1), -1)
+        back = billiard_iterate(billiard_iterate(p, +1), -1)
         assert abs(back.y - p.y) <= 1e-12 * max(1.0, abs(p.y))
         assert abs(back.t - p.t) <= 1e-12 * max(1.0, abs(p.t))
         q_mn = billiard_iterate(billiard_iterate(p, +1, 2), +1, 5)
@@ -383,13 +381,13 @@ def test_field_essential_time_support(params_mid, symbol_mid):
 
 def test_trace_zero_symbol(params_mid):
     sym = make_symbol(params_mid, profile=lambda z: 0.0 * z)
-    sig = trace(1, -1, 3.0 * params_mid.time_unit, params_mid, symbol=sym)
+    sig = TraceEvaluator(params_mid, 1, -1, symbol=sym).signal(3.0 * params_mid.time_unit)
     assert np.abs(sig.values).max() == 0.0
 
 
 def test_trace_argument_range_guard(params_mid, symbol_mid):
     with pytest.raises(CuspError, match="outside"):
-        trace(0, -1, 10.0 * math.sqrt(params_mid.a), params_mid, symbol=symbol_mid)
+        TraceEvaluator(params_mid, 0, -1, symbol=symbol_mid).signal(10.0 * math.sqrt(params_mid.a))
 
 
 def test_trace_support_shift(params_mid, symbol_mid):
@@ -448,7 +446,7 @@ def test_boundary_residual_small_and_decaying():
 def test_trace_clip_guard_raises_at_small_lambda():
     params = make_params(2.0**-14, 0.1, 0.25)  # lambda ~ 23: chi clips > 1%
     with pytest.raises(CuspError, match="clips"):
-        trace(0, -1, 0.0, params)
+        TraceEvaluator(params, 0, -1).signal(0.0)
 
 
 def test_dirichlet_residual_at_moderate_lambda():

@@ -1,4 +1,5 @@
-"""The package is numpy-only: its sources import the standard library, numpy and itself."""
+"""The package is numpy-only: its sources import the standard library, numpy and itself; and
+every name it exports exists."""
 
 import ast
 import re
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import convexwave
+import convexwave.cusp
 
 PACKAGE = Path(convexwave.__file__).parent
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "convexwave"}
@@ -32,3 +34,9 @@ def test_declared_dependencies_are_numpy_alone():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     deps = ast.literal_eval(re.search(r"^dependencies\s*=\s*(\[.*?\])", text, re.M | re.S).group(1))
     assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps] == ["numpy"]
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry makes ``from convexwave.cusp import *`` raise
+    for module in (convexwave, convexwave.cusp):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__

@@ -16,10 +16,10 @@ from convexwave.fields import (
 
 def test_smoothstep_endpoints_and_monotone():
     t = np.linspace(-0.2, 1.2, 101)
-    s = smoothstep(t, 4)
+    s = smoothstep(t)
     assert s[0] == 0.0 and s[-1] == 1.0
     assert np.all(np.diff(s) >= -1e-15)
-    assert smoothstep(0.5, 4) == pytest.approx(0.5)
+    assert smoothstep(0.5) == pytest.approx(0.5)
 
 
 def test_window_plateau_support_and_range():

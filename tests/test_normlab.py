@@ -15,8 +15,9 @@ from convexwave.normlab import (
     grid_lr_norm,
     lqlr_norm,
     lr_norm,
-    lr_power,
     power_in_place,
+    row_powers,
+    rows_norm,
     region_norms,
     spans_fit,
 )
@@ -243,10 +244,10 @@ def test_block_reduction_equals_the_whole_array_sum(rng, monkeypatch, r, shape, 
     wy = trapezoid_weights(np.linspace(0.0, 2.0, shape[1]))
     mod = np.abs(values)
     expected = mod.max() if r == math.inf else float(np.sum(wx[:, None] * mod**r * wy[None, :]))
-    assert lr_power(values, wx, wy, r) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert rows_norm(row_powers(values, wy, r), wx, r, power=True) == pytest.approx(expected, rel=1e-14, abs=0.0)
     values[-1, -1] = np.nan  # in the last, partial block
     with pytest.raises(NormError, match="non-finite field samples"):
-        lr_power(values, wx, wy, r)
+        row_powers(values, wy, r)
 
 
 @pytest.mark.parametrize("r", [2, 6, math.inf])
@@ -256,8 +257,9 @@ def test_block_reduction_of_a_product(rng, monkeypatch, r):
     left = rng.normal(size=(23, 4)) + 1j * rng.normal(size=(23, 4))
     right = rng.normal(size=(4, 300)) + 1j * rng.normal(size=(4, 300))
     wx, wy = rng.random(23), rng.random(300)
-    expected = lr_power(left @ right, wx, wy, r)
-    assert lr_power(left, wx, wy, r, right=right) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    expected = rows_norm(row_powers(left @ right, wy, r), wx, r, power=True)
+    got = rows_norm(row_powers(left, wy, r, right=right), wx, r, power=True)
+    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_counterexample_rejects_small_r():

@@ -55,9 +55,25 @@ def test_reflection_tiling_invariant():
     for e in range(8, 40, 3):
         h = 2.0**-e
         p = make_params(h, 0.1, 0.2)
-        assert abs(4.0 * p.n_reflections * p.sqrt_a - 1.0) <= 2.0 * p.sqrt_a + 1e-12
+        sqrt_a = math.sqrt(p.a)
+        assert abs(4.0 * p.n_reflections * sqrt_a - 1.0) <= 2.0 * sqrt_a + 1e-12
         assert p.n_reflections <= p.lam * h**p.epsilon * (1 + 1e-12)
         assert 16.0 * p.n_reflections >= p.lam * h**p.epsilon
+
+
+@given(st.floats(2.0**-60, 1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=400, deadline=None)
+def test_accepted_params_keep_the_tiling_and_budget_bounds(h, epsilon):
+    # N = round(1/(4 sqrt(a))) and lambda h^eps = 1/sqrt(a) imply both bounds, so make_params does
+    # not check them; a different N rule must keep them
+    try:
+        p = make_params(h, epsilon)
+    except ParameterError:
+        return
+    sqrt_a = math.sqrt(p.a)
+    assert abs(4.0 * p.n_reflections * sqrt_a - 1.0) <= 2.0 * sqrt_a * (1.0 + 1e-12)
+    budget = p.lam * h**epsilon
+    assert budget / 16.0 <= p.n_reflections <= 4.0 * budget
 
 
 @given(st.integers(min_value=8, max_value=60), st.integers(min_value=9, max_value=60))
